@@ -21,8 +21,6 @@ from .errors import DomainError, NumericError, ParseError, ShapeError
 from .fileio import RunManifest, load_matrix, save_matrix
 from .linalg import (
     difference_operator,
-    frobenius_norm,
-    matmul,
     nonneg_project,
     soft_threshold_nonneg,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "default_variants",
     "difference_operator",
     "evaluate",
-    "frobenius_norm",
     "gen_smooth_rows",
     "gen_sparse_matrix",
     "generate",
@@ -66,7 +63,6 @@ __all__ = [
     "lipschitz_w",
     "load_matrix",
     "make_v",
-    "matmul",
     "nonneg_project",
     "palm_step",
     "run_comparison",

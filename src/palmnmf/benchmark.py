@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ShapeError
-from .linalg import as_matrix
+from .errors import NumericError, ShapeError
+from .linalg import as_matrix, check_mapping, check_numbers
 from .objective import ObjectiveParams
 from .solver import solve
 
@@ -41,6 +41,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, ints=("d", "k", "n", "seed"), reals=("sigma", "w_density"))
         if self.d < 1 or self.k < 1 or self.n < 1:
             raise ValueError(
                 f"d, k, n must be >= 1, got d={self.d}, k={self.k}, n={self.n}"
@@ -67,6 +68,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d):
+        check_mapping(d, "synthetic spec", required=("d", "k", "n", "sigma"))
         return cls(
             d=d["d"],
             k=d["k"],
@@ -286,7 +288,8 @@ def run_comparison(spec, variants, config, repeats):
     Each variant is solved ``repeats`` times on the same v, with
     initialization seeds config.seed, config.seed + 1, ... (the data seed
     stays fixed in ``spec``), and every run is scored against the ground
-    truth. Per-run failures are recorded in the table instead of raised.
+    truth. Per-run failures (NumericError, ValueError) are recorded in the
+    table instead of raised; any other exception propagates.
 
     Returns a list of VariantResult in the order the variants were given.
     """
@@ -309,7 +312,7 @@ def run_comparison(spec, variants, config, repeats):
                         converged=res.converged,
                     )
                 )
-            except Exception as exc:  # recorded per-run, never aborts the table
+            except (NumericError, ValueError) as exc:
                 runs.append(
                     RunScore(
                         seed=run_config.seed,

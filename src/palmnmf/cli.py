@@ -151,7 +151,7 @@ def _load_variants(value):
         return default_variants()
     text = value if value.lstrip().startswith("[") else Path(value).read_text()
     items = json.loads(text)
-    if not isinstance(items, list) or not items:
+    if not isinstance(items, list) or not items or not all(isinstance(i, dict) for i in items):
         raise ValueError("--variants must be a non-empty JSON list of parameter objects")
     return [ObjectiveParams.from_dict(item) for item in items]
 
@@ -295,10 +295,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

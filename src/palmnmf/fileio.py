@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_mapping
 from .objective import ObjectiveParams
 from .solver import SolverConfig
 
@@ -98,6 +98,7 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d):
+        check_mapping(d, "run manifest", required=("input", "params", "config", "out_dir", "files"))
         return cls(
             input=d["input"],
             params=ObjectiveParams.from_dict(d["params"]),

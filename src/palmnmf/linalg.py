@@ -1,12 +1,14 @@
 """Dense-matrix kernels for the factorization solver.
 
-Matrices are 2-D float64 numpy arrays throughout the package;
-``as_matrix`` is the boundary validator that enforces this.
+Matrices are 2-D float64 numpy arrays throughout the package. The
+validators here (``as_matrix``, ``check_numbers``, ``check_mapping``) run
+only where data enters; the prox maps are step kernels that trust theirs.
 """
 
-import numpy as np
+import numbers
+from collections.abc import Mapping
 
-from .errors import ShapeError
+import numpy as np
 
 
 def as_matrix(a, name="matrix"):
@@ -21,21 +23,23 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def matmul(a, b):
-    """Matrix product a @ b."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
+def check_numbers(obj, ints=(), reals=()):
+    """Raise ValueError unless each field of *obj* named in *ints* is an
+    integer and each named in *reals* a real number; bools are neither."""
+    for names, kind, noun in ((ints, numbers.Integral, "an integer"), (reals, numbers.Real, "a number")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
-def frobenius_norm(m):
-    """Square root of the sum of squared entries."""
-    m = as_matrix(m)
-    return float(np.sqrt(np.sum(m * m)))
+def check_mapping(d, what, required=()):
+    """Raise ValueError unless *d* is a mapping holding every key in *required*."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{what} is missing required key {key!r}")
 
 
 def difference_operator(n):
@@ -55,15 +59,15 @@ def difference_operator(n):
 
 def nonneg_project(m):
     """Elementwise max(0, x): projection onto the nonnegative orthant."""
-    return np.maximum(as_matrix(m), 0.0)
+    return np.maximum(m, 0.0)
 
 
 def soft_threshold_nonneg(m, tau):
     """Elementwise max(0, x - tau).
 
     This is the proximal map of tau*|x| restricted to x >= 0; with tau=0
-    it reduces to ``nonneg_project``.
+    it reduces to ``nonneg_project``. *m* is a trusted float64 array.
     """
     if not tau >= 0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
-    return np.maximum(as_matrix(m) - tau, 0.0)
+    return np.maximum(m - tau, 0.0)

@@ -9,6 +9,10 @@ where D is the adjacent-column difference operator, ||.||_1 is the
 entrywise sum of absolute values, and w, h are kept nonnegative by the
 solver. The l1 term is non-smooth and is handled by the solver's
 proximal step; ``grad_w``/``grad_h`` differentiate everything else.
+
+``evaluate`` validates its matrices. The gradients and step moduli are
+step kernels that trust theirs (finite float64 2-D arrays of consistent
+shape, as ``solve`` passes them) and check only scalars.
 """
 
 import math
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, difference_operator
+from .linalg import as_matrix, check_mapping, check_numbers, difference_operator
 
 # Floor for step moduli so a collapsed factor never yields a zero divisor.
 LIPSCHITZ_FLOOR = 1e-12
@@ -39,6 +43,7 @@ class ObjectiveParams:
     beta_h: float = 0.1
 
     def __post_init__(self):
+        check_numbers(self, reals=("lam", "eta", "beta_w", "beta_h"))
         for name in ("lam", "eta", "beta_w", "beta_h"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -54,6 +59,7 @@ class ObjectiveParams:
 
     @classmethod
     def from_dict(cls, d):
+        check_mapping(d, "objective params")
         return cls(
             lam=d.get("lambda", 0.0),
             eta=d.get("eta", 0.0),
@@ -62,7 +68,12 @@ class ObjectiveParams:
         )
 
 
-def _check_shapes(v, w, h):
+def evaluate(v, w, h, params):
+    """Value of the regularized cost at nonnegative factors (w, h).
+
+    Nonnegativity is required of the inputs rather than encoded as an
+    infinite indicator value; the solver maintains it by construction.
+    """
     v = as_matrix(v, "v")
     w = as_matrix(w, "w")
     h = as_matrix(h, "h")
@@ -72,22 +83,8 @@ def _check_shapes(v, w, h):
                 *v.shape, *w.shape, *h.shape
             )
         )
-    return v, w, h
-
-
-def _check_smoothable(h, params):
     if params.eta > 0 and h.shape[1] < 2:
-        raise ValueError("smoothness penalty requires h to have at least 2 columns")
-
-
-def evaluate(v, w, h, params):
-    """Value of the regularized cost at nonnegative factors (w, h).
-
-    Nonnegativity is required of the inputs rather than encoded as an
-    infinite indicator value; the solver maintains it by construction.
-    """
-    v, w, h = _check_shapes(v, w, h)
-    _check_smoothable(h, params)
+        raise ValueError("smoothness penalty requires at least 2 columns")
     if (w < 0).any():
         raise DomainError("w must be nonnegative")
     if (h < 0).any():
@@ -107,18 +104,17 @@ def grad_w(v, w, h, params):
     """Gradient of the smooth part of the cost with respect to w.
 
     2 w h h^T - 2 v h^T + 2 beta_w w; the l1 term is left to the prox.
+    Inputs are trusted (see the module docstring).
     """
-    v, w, h = _check_shapes(v, w, h)
     return 2.0 * (w @ (h @ h.T) - v @ h.T + params.beta_w * w)
 
 
 def grad_h(v, w, h, params):
     """Gradient of the smooth part of the cost with respect to h.
 
-    2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h.
+    2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h. Inputs are trusted;
+    with eta > 0, h must have at least 2 columns.
     """
-    v, w, h = _check_shapes(v, w, h)
-    _check_smoothable(h, params)
     g = (w.T @ w) @ h - w.T @ v + params.beta_h * h
     if params.eta > 0:
         d = difference_operator(h.shape[1])
@@ -130,9 +126,8 @@ def lipschitz_w(h, params):
     """Step modulus for the w block: 2 ||h h^T||_F + 2 beta_w, floored.
 
     A valid Lipschitz constant of ``grad_w`` as a function of w at fixed h,
-    since the spectral norm is bounded by the Frobenius norm.
+    since the spectral norm is bounded by the Frobenius norm. h is trusted.
     """
-    h = as_matrix(h, "h")
     gram = h @ h.T
     value = 2.0 * float(np.sqrt(np.sum(gram * gram))) + 2.0 * params.beta_w
     return max(value, LIPSCHITZ_FLOOR)
@@ -144,8 +139,8 @@ def lipschitz_h(w, n, params):
     2 ||w^T w||_F + 2 eta ||D D^T||_F + 2 beta_h, floored. For the
     difference operator D of size n, ||D D^T||_F = sqrt(6n - 8): D D^T is
     tridiagonal with diagonal (1, 2, ..., 2, 1) and off-diagonals -1.
+    w is trusted; n is checked.
     """
-    w = as_matrix(w, "w")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gram = w.T @ w

@@ -6,6 +6,8 @@ the nonnegative orthant, handling the l1 term), then h (plain nonnegative
 projection) using the already-updated w. Step sizes come from per-block
 Lipschitz bounds inflated by gamma1/gamma2 > 1, which guarantees monotone
 descent of the objective.
+
+``solve`` validates v once; ``palm_step`` and its kernels trust their arrays.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import as_matrix, nonneg_project, soft_threshold_nonneg
+from .linalg import as_matrix, check_mapping, check_numbers, nonneg_project, soft_threshold_nonneg
 from .objective import (
     LIPSCHITZ_FLOOR,
     evaluate,
@@ -49,6 +51,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, ints=("k", "max_iter", "seed"), reals=("gamma1", "gamma2", "tol"))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.gamma1 > 1:
@@ -77,6 +80,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d):
+        check_mapping(d, "solver config", required=("k",))
         return cls(
             k=d["k"],
             gamma1=d.get("gamma1", 1.1),
@@ -124,7 +128,8 @@ def palm_step(v, w, h, params, config):
     """One alternating update; returns (w_next, h_next).
 
     The w block steps first; the h block then uses the updated w in both
-    its step modulus and its gradient.
+    its step modulus and its gradient. v, w, h are trusted to be finite
+    float64 2-D arrays of consistent shape, as ``solve`` passes them.
     """
     # Overflow inside the updates is detected by the explicit finiteness
     # checks below, so numpy's warnings are redundant here.
@@ -165,11 +170,6 @@ def solve(v, params, config):
         convergence flag.
     """
     v = as_matrix(v, "v")
-    if (v < 0).any():
-        raise DomainError("v must be nonnegative")
-    if params.eta > 0 and v.shape[1] < 2:
-        raise ValueError("smoothness penalty requires v to have at least 2 columns")
-
     w, h = initialize(v, config)
     with np.errstate(over="ignore"):
         trace = [evaluate(v, w, h, params)]

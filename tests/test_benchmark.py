@@ -59,6 +59,11 @@ class TestSyntheticSpec:
             {"d": 1, "k": 1, "n": 2, "sigma": 0.1, "w_density": 1.1},
             {"d": 1, "k": 1, "n": 2, "sigma": 0.1, "clip_mode": "clamp"},
             {"d": 1, "k": 1, "n": 2, "sigma": 0.1, "seed": -3},
+            {"d": "6", "k": 1, "n": 2, "sigma": 0.1},
+            {"d": 1, "k": 1.5, "n": 2, "sigma": 0.1},
+            {"d": 1, "k": 1, "n": None, "sigma": 0.1},
+            {"d": 1, "k": 1, "n": 2, "sigma": "0.1"},
+            {"d": 1, "k": 1, "n": 2, "sigma": 0.1, "seed": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -301,6 +306,14 @@ class TestRunComparison:
         monkeypatch.setattr(benchmark, "solve", always_raise)
         [result] = run_comparison(SMALL_SPEC, [ObjectiveParams()], SMALL_CFG, repeats=2)
         assert result.stats()["score"]["median"] is None
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(v, params, config):
+            raise TypeError("not a per-run failure")
+
+        monkeypatch.setattr(benchmark, "solve", broken)
+        with pytest.raises(TypeError, match="not a per-run failure"):
+            run_comparison(SMALL_SPEC, [ObjectiveParams()], SMALL_CFG, repeats=1)
 
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):

@@ -243,6 +243,35 @@ class TestBench:
         assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"variants": "[1,2]"},
+        {"variants": '[{"lambda": "x"}]'},
+        {"spec": {"k": 2, "n": 6, "sigma": 0.1}},
+        {"spec": {"d": "6", "k": 2, "n": 6, "sigma": 0.1}},
+        {"spec": [{"d": 6, "k": 2, "n": 6, "sigma": 0.1}]},
+        {"spec": {"d": 6, "k": "2", "n": 6, "sigma": 0.1}},
+    ],
+    ids=["variants-ints", "variants-str-weight", "spec-no-d", "spec-str-d", "spec-list", "spec-str-k"],
+)
+def test_malformed_bench_input_exits_2(case, tmp_path, cli_env):
+    args = ["bench", "--repeats", "1", "--max-iter", "5", "--out", str(tmp_path / "o")]
+    if "variants" in case:
+        args += ["--d", "4", "--k", "2", "--n", "6", "--variants", case["variants"]]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(case["spec"]))
+        args += ["--spec", str(spec)]
+    result = subprocess.run(
+        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env
+    )
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

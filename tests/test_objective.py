@@ -54,7 +54,18 @@ class TestObjectiveParams:
         p = ObjectiveParams()
         assert (p.lam, p.eta, p.beta_w, p.beta_h) == (0.0, 0.0, 0.1, 0.1)
 
-    @pytest.mark.parametrize("kwargs", [{"lam": -1.0}, {"eta": float("nan")}, {"beta_w": -0.1}, {"beta_h": float("inf")}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lam": -1.0},
+            {"eta": float("nan")},
+            {"beta_w": -0.1},
+            {"beta_h": float("inf")},
+            {"lam": "0.5"},
+            {"eta": None},
+            {"beta_w": True},
+        ],
+    )
     def test_rejects_bad_weights(self, kwargs):
         with pytest.raises(ValueError):
             ObjectiveParams(**kwargs)
@@ -170,12 +181,12 @@ class TestStepModuli:
         assert lipschitz_h(w, 5, params) == pytest.approx(expected, rel=1e-15)
 
     def test_lipschitz_h_gram_norm_from_difference_operator(self):
-        from palmnmf import difference_operator, frobenius_norm
+        from palmnmf import difference_operator
 
         w = np.zeros((3, 2))
         for n in (2, 7, 30):
             params = ObjectiveParams(eta=1.0, beta_h=0.0)
-            expected = 2.0 * frobenius_norm(difference_operator(n) @ difference_operator(n).T)
+            expected = 2.0 * np.linalg.norm(difference_operator(n) @ difference_operator(n).T)
             assert lipschitz_h(w, n, params) == pytest.approx(expected, rel=1e-13)
 
     def test_floor_applies_to_collapsed_factors(self):

@@ -49,6 +49,12 @@ class TestSolverConfig:
             {"k": 2, "tol": 0.0},
             {"k": 2, "init": "zeros"},
             {"k": 2, "seed": -1},
+            {"k": 2.5},
+            {"k": "2"},
+            {"k": 2, "max_iter": 10.0},
+            {"k": 2, "seed": None},
+            {"k": True},
+            {"k": 2, "tol": "1e-6"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -204,6 +210,31 @@ class TestSolve:
     def test_rejects_negative_input(self):
         with pytest.raises(DomainError):
             solve(np.array([[1.0, -1.0]]), ObjectiveParams(), SolverConfig(k=1))
+
+    @pytest.mark.parametrize(
+        "v, match",
+        [
+            ([[1.0, np.nan]], "non-finite"),
+            ([[1.0, np.inf]], "non-finite"),
+            ([[1.0, -np.inf]], "non-finite"),
+            ([1.0, 2.0], "2-D"),
+            (np.zeros((0, 3)), "non-empty"),
+        ],
+        ids=["nan", "inf", "-inf", "1-D", "empty"],
+    )
+    def test_rejects_malformed_input(self, v, match):
+        # solve is the only check in front of the step kernels
+        with pytest.raises(ValueError, match=match):
+            solve(v, ObjectiveParams(), SolverConfig(k=1, max_iter=5))
+
+    def test_accepts_nested_list(self):
+        rows = [[1.0, 2.0, 0.5], [0.0, 1.5, 3.0]]
+        cfg = SolverConfig(k=1, seed=2, max_iter=20)
+        a = solve(rows, ObjectiveParams(lam=0.1, eta=0.5), cfg)
+        b = solve(np.array(rows), ObjectiveParams(lam=0.1, eta=0.5), cfg)
+        np.testing.assert_array_equal(a.w, b.w)
+        np.testing.assert_array_equal(a.h, b.h)
+        assert a.objective_trace == b.objective_trace
 
     def test_smoothness_needs_two_columns(self):
         with pytest.raises(ValueError, match="at least 2 columns"):

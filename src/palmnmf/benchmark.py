@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericError, ShapeError
-from .linalg import as_matrix, check_mapping, check_numbers
+from .linalg import Record, as_matrix
 from .objective import ObjectiveParams
 from .solver import solve
 
@@ -22,7 +22,7 @@ CLIP_MODES = ("max_zero", "absolute")
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     """Recipe for one synthetic instance: v = clip(w_true @ h_true + noise).
 
     d, k, n   -- shapes: w_true is d x k, h_true is k x n
@@ -41,7 +41,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_numbers(self, ints=("d", "k", "n", "seed"), reals=("sigma", "w_density"))
+        super().__post_init__()
         if self.d < 1 or self.k < 1 or self.n < 1:
             raise ValueError(
                 f"d, k, n must be >= 1, got d={self.d}, k={self.k}, n={self.n}"
@@ -54,30 +54,6 @@ class SyntheticSpec:
             raise ValueError(f"clip_mode must be one of {CLIP_MODES}, got {self.clip_mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self):
-        return {
-            "d": self.d,
-            "k": self.k,
-            "n": self.n,
-            "sigma": self.sigma,
-            "w_density": self.w_density,
-            "clip_mode": self.clip_mode,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        check_mapping(d, "synthetic spec", required=("d", "k", "n", "sigma"))
-        return cls(
-            d=d["d"],
-            k=d["k"],
-            n=d["n"],
-            sigma=d["sigma"],
-            w_density=d.get("w_density", 1.0),
-            clip_mode=d.get("clip_mode", "max_zero"),
-            seed=d.get("seed", 0),
-        )
 
 
 def gen_smooth_rows(k, n, seed):

@@ -92,8 +92,7 @@ def cmd_factorize(args):
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(result.w, out / "W.csv")
     save_matrix(result.h, out / "H.csv")
-    trace_lines = ["%d,%.17g" % (i, obj) for i, obj in enumerate(result.objective_trace)]
-    (out / "trace.csv").write_text("\n".join(trace_lines) + "\n")
+    save_matrix(list(enumerate(result.objective_trace)), out / "trace.csv")
     manifest = RunManifest(
         input=args.input,
         params=params,
@@ -295,7 +294,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

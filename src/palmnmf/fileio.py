@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .linalg import as_matrix, check_mapping
+from .linalg import Record, as_matrix
 from .objective import ObjectiveParams
 from .solver import SolverConfig
 
@@ -78,7 +78,7 @@ def load_json(path):
 
 
 @dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record):
     """Record of one factorization run: what went in, what came out."""
 
     input: str
@@ -86,23 +86,3 @@ class RunManifest:
     config: SolverConfig
     out_dir: str
     files: tuple
-
-    def to_dict(self):
-        return {
-            "input": self.input,
-            "params": self.params.to_dict(),
-            "config": self.config.to_dict(),
-            "out_dir": self.out_dir,
-            "files": list(self.files),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        check_mapping(d, "run manifest", required=("input", "params", "config", "out_dir", "files"))
-        return cls(
-            input=d["input"],
-            params=ObjectiveParams.from_dict(d["params"]),
-            config=SolverConfig.from_dict(d["config"]),
-            out_dir=d["out_dir"],
-            files=tuple(d["files"]),
-        )

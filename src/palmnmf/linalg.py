@@ -1,14 +1,20 @@
-"""Dense-matrix kernels for the factorization solver.
+"""Dense-matrix kernels for the factorization solver, and the base of the
+config records.
 
 Matrices are 2-D float64 numpy arrays throughout the package. The
-validators here (``as_matrix``, ``check_numbers``, ``check_mapping``) run
-only where data enters; the prox maps are step kernels that trust theirs.
+validators here (``as_matrix`` and ``Record``) run only where data
+enters; the prox maps are step kernels that trust theirs.
 """
 
 import numbers
+import re
 from collections.abc import Mapping
+from dataclasses import MISSING, fields
 
 import numpy as np
+
+# Field annotation -> the values it admits and their name in messages.
+_NUMBER_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 def as_matrix(a, name="matrix"):
@@ -23,23 +29,65 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def check_numbers(obj, ints=(), reals=()):
-    """Raise ValueError unless each field of *obj* named in *ints* is an
-    integer and each named in *reals* a real number; bools are neither."""
-    for names, kind, noun in ((ints, numbers.Integral, "an integer"), (reals, numbers.Real, "a number")):
-        for name in names:
-            value = getattr(obj, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {noun}, got {value!r}")
+def _key(f):
+    return f.metadata.get("key", f.name)
 
 
-def check_mapping(d, what, required=()):
-    """Raise ValueError unless *d* is a mapping holding every key in *required*."""
-    if not isinstance(d, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    for key in required:
-        if key not in d:
-            raise ValueError(f"{what} is missing required key {key!r}")
+class Record:
+    """Base of the frozen config dataclasses: field types and the JSON codec.
+
+    Each field is one JSON key, its name unless set by
+    ``field(metadata={"key": ...})``. ``__post_init__`` raises ValueError
+    unless every field annotated ``int`` is an integer and every field
+    annotated ``float`` a real number (bools are neither); subclasses call
+    it first, then check ranges. ``from_dict`` takes each missing key's
+    default from the dataclass and rejects a non-mapping, a missing
+    required key and an unknown key with ValueError.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in _NUMBER_TYPES:
+                kind, noun = _NUMBER_TYPES[f.type]
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{_key(f)} must be {noun}, got {value!r}")
+
+    def to_dict(self):
+        """One key per field, in field order; nested records recurse and
+        tuples become lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Record):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[_key(f)] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, d):
+        """Inverse of ``to_dict``."""
+        what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()  # "run manifest"
+        if not isinstance(d, Mapping):
+            raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+        by_key = {_key(f): f for f in fields(cls)}
+        unknown = ", ".join(repr(key) for key in d if key not in by_key)
+        if unknown:
+            raise ValueError(f"{what} has unknown key(s) {unknown}; known keys are {', '.join(by_key)}")
+        kwargs = {}
+        for key, f in by_key.items():
+            if key in d:
+                value = d[key]
+                if isinstance(f.type, type) and issubclass(f.type, Record):
+                    value = f.type.from_dict(value)
+                elif f.type is tuple and isinstance(value, list):
+                    value = tuple(value)
+                kwargs[f.name] = value
+            elif f.default is MISSING:
+                raise ValueError(f"{what} is missing required key {key!r}")
+        return cls(**kwargs)
 
 
 def difference_operator(n):

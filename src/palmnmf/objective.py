@@ -16,56 +16,37 @@ shape, as ``solve`` passes them) and check only scalars.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, check_mapping, check_numbers, difference_operator
+from .linalg import Record, as_matrix, difference_operator
 
 # Floor for step moduli so a collapsed factor never yields a zero divisor.
 LIPSCHITZ_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class ObjectiveParams:
+class ObjectiveParams(Record):
     """Regularization weights.
 
-    lam    -- l1 weight on w (sparsity)
+    lam    -- l1 weight on w (sparsity); JSON key and CLI flag "lambda"
     eta    -- weight of the adjacent-column smoothness penalty on h
     beta_w -- ridge weight on w (scale control)
     beta_h -- ridge weight on h (scale control)
     """
 
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
     eta: float = 0.0
     beta_w: float = 0.1
     beta_h: float = 0.1
 
     def __post_init__(self):
-        check_numbers(self, reals=("lam", "eta", "beta_w", "beta_h"))
-        for name in ("lam", "eta", "beta_w", "beta_h"):
-            value = getattr(self, name)
+        super().__post_init__()
+        for key, value in self.to_dict().items():
             if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-    def to_dict(self):
-        return {
-            "lambda": self.lam,
-            "eta": self.eta,
-            "beta_w": self.beta_w,
-            "beta_h": self.beta_h,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        check_mapping(d, "objective params")
-        return cls(
-            lam=d.get("lambda", 0.0),
-            eta=d.get("eta", 0.0),
-            beta_w=d.get("beta_w", 0.1),
-            beta_h=d.get("beta_h", 0.1),
-        )
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
 def evaluate(v, w, h, params):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import as_matrix, check_mapping, check_numbers, nonneg_project, soft_threshold_nonneg
+from .linalg import Record, as_matrix, nonneg_project, soft_threshold_nonneg
 from .objective import (
     LIPSCHITZ_FLOOR,
     evaluate,
@@ -26,11 +26,9 @@ from .objective import (
     lipschitz_w,
 )
 
-INIT_STRATEGIES = ("uniform-random",)
-
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Solver knobs.
 
     k        -- inner dimension of the factorization
@@ -38,7 +36,6 @@ class SolverConfig:
     gamma2   -- step-modulus inflation for the h block (> 1)
     max_iter -- iteration budget
     tol      -- relative-step stopping threshold
-    init     -- initialization strategy (only "uniform-random")
     seed     -- RNG seed for initialization
     """
 
@@ -47,11 +44,10 @@ class SolverConfig:
     gamma2: float = 1.1
     max_iter: int = 5000
     tol: float = 1e-6
-    init: str = "uniform-random"
     seed: int = 0
 
     def __post_init__(self):
-        check_numbers(self, ints=("k", "max_iter", "seed"), reals=("gamma1", "gamma2", "tol"))
+        super().__post_init__()
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.gamma1 > 1:
@@ -62,34 +58,8 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.init not in INIT_STRATEGIES:
-            raise ValueError(f"unknown init strategy: {self.init!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "init": self.init,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        check_mapping(d, "solver config", required=("k",))
-        return cls(
-            k=d["k"],
-            gamma1=d.get("gamma1", 1.1),
-            gamma2=d.get("gamma2", 1.1),
-            max_iter=d.get("max_iter", 5000),
-            tol=d.get("tol", 1e-6),
-            init=d.get("init", "uniform-random"),
-            seed=d.get("seed", 0),
-        )
 
 
 @dataclass

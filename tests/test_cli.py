@@ -243,26 +243,9 @@ class TestBench:
         assert rc == 1
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        {"variants": "[1,2]"},
-        {"variants": '[{"lambda": "x"}]'},
-        {"spec": {"k": 2, "n": 6, "sigma": 0.1}},
-        {"spec": {"d": "6", "k": 2, "n": 6, "sigma": 0.1}},
-        {"spec": [{"d": 6, "k": 2, "n": 6, "sigma": 0.1}]},
-        {"spec": {"d": 6, "k": "2", "n": 6, "sigma": 0.1}},
-    ],
-    ids=["variants-ints", "variants-str-weight", "spec-no-d", "spec-str-d", "spec-list", "spec-str-k"],
-)
-def test_malformed_bench_input_exits_2(case, tmp_path, cli_env):
-    args = ["bench", "--repeats", "1", "--max-iter", "5", "--out", str(tmp_path / "o")]
-    if "variants" in case:
-        args += ["--d", "4", "--k", "2", "--n", "6", "--variants", case["variants"]]
-    else:
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(case["spec"]))
-        args += ["--spec", str(spec)]
+def usage_error(args, cli_env):
+    """Run the CLI as a child process, check that it reports a usage error
+    (exit 2, one ``error:`` line on stderr, no traceback) and return stderr."""
     result = subprocess.run(
         [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env
     )
@@ -270,6 +253,51 @@ def test_malformed_bench_input_exits_2(case, tmp_path, cli_env):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+    return result.stderr
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        ({"variants": "[1,2]"}, "--variants"),
+        ({"variants": '[{"lambda": "x"}]'}, "lambda"),
+        ({"spec": {"k": 2, "n": 6, "sigma": 0.1}}, "'d'"),
+        ({"spec": {"d": "6", "k": 2, "n": 6, "sigma": 0.1}}, "d must be an integer"),
+        ({"spec": [{"d": 6, "k": 2, "n": 6, "sigma": 0.1}]}, "JSON object"),
+        ({"spec": {"d": 6, "k": "2", "n": 6, "sigma": 0.1}}, "k must be an integer"),
+        ({"variants": '[{"lamda": 0.5}]'}, "'lamda'"),
+        ({"spec": {"d": 6, "k": 2, "n": 6, "sigma": 0.1, "w_desnity": 0.5}}, "'w_desnity'"),
+    ],
+    ids=[
+        "variants-ints", "variants-str-weight", "spec-no-d", "spec-str-d", "spec-list", "spec-str-k",
+        "variants-misspelt-key", "spec-misspelt-key",
+    ],
+)
+def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
+    args = ["bench", "--repeats", "1", "--max-iter", "5", "--out", str(tmp_path / "o")]
+    if "variants" in case:
+        args += ["--d", "4", "--k", "2", "--n", "6", "--variants", case["variants"]]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(case["spec"]))
+        args += ["--spec", str(spec)]
+    assert named in usage_error(args, cli_env)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["factorize", "--input", "{dir}", "--k", "2", "--out", "{tmp}/o"],
+        ["bench", "--d", "4", "--k", "2", "--n", "6", "--variants", "{dir}", "--out", "{tmp}/o"],
+        ["synth", "--d", "4", "--k", "2", "--n", "6", "--out", "{file}"],
+    ],
+    ids=["factorize-input-dir", "bench-variants-dir", "synth-out-file"],
+)
+def test_path_usage_errors_exit_2(args, tmp_path, cli_env):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "tmp": tmp_path}
+    usage_error([a.format(**paths) for a in args], cli_env)
 
 
 class TestTopLevel:

@@ -35,9 +35,7 @@ def assert_monotone(trace):
 class TestSolverConfig:
     def test_defaults(self):
         c = SolverConfig(k=3)
-        assert (c.gamma1, c.gamma2, c.max_iter, c.tol, c.init, c.seed) == (
-            1.1, 1.1, 5000, 1e-6, "uniform-random", 0,
-        )
+        assert (c.gamma1, c.gamma2, c.max_iter, c.tol, c.seed) == (1.1, 1.1, 5000, 1e-6, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,7 +45,7 @@ class TestSolverConfig:
             {"k": 2, "gamma2": 0.9},
             {"k": 2, "max_iter": 0},
             {"k": 2, "tol": 0.0},
-            {"k": 2, "init": "zeros"},
+            {"k": 2, "gamma1": float("nan")},
             {"k": 2, "seed": -1},
             {"k": 2.5},
             {"k": "2"},

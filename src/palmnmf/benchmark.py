@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericError, ShapeError
 from .linalg import Record, as_matrix
@@ -173,6 +172,10 @@ def score_recovery(w, h, w_true, h_true):
     normalized w columns, found by exact assignment; the Frobenius
     distances of the reordered, normalized factors are returned.
     """
+    # Imported here: scipy takes longer to load than the rest of the
+    # package, and only scoring needs it.
+    from scipy.optimize import linear_sum_assignment
+
     w = as_matrix(w, "w")
     h = as_matrix(h, "h")
     w_true = as_matrix(w_true, "w_true")

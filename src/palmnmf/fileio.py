@@ -23,48 +23,61 @@ def load_matrix(path):
 
     Raises ParseError (with 1-based line/column where known) on empty
     files, ragged rows, and tokens that are not finite decimal numbers.
+    Errors are reported in file order: the first line that fails, and
+    within it the first bad token.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
         raise ParseError(f"{path}: empty matrix file")
-    rows = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split(",")
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+    width = lines[0].count(",") + 1
+    # The array holds only the rows before the first ragged line, so a
+    # malformed first line cannot size it beyond what the file contains.
+    n_rows = next((i for i, line in enumerate(lines) if line.count(",") != width - 1), len(lines))
+    m = np.empty((n_rows, width))
+    for i in range(n_rows):
+        tokens = lines[i].split(",")
+        try:
+            row = list(map(float, tokens))
+        except ValueError:
+            row = None
+        # A non-finite sum flags a nan or inf token, or finite values
+        # whose sum overflows, which _check_tokens lets through.
+        if row is None or not math.isfinite(sum(row)):
+            _check_tokens(path, i + 1, tokens)
+        m[i] = row
+    if n_rows < len(lines):
+        lineno = n_rows + 1
+        raise ParseError(
+            f"{path}: line {lineno}: expected {width} values, got {lines[n_rows].count(',') + 1}",
+            line=lineno,
+        )
+    return m
+
+
+def _check_tokens(path, lineno, tokens):
+    """Raise ParseError naming the first token of a line that is not a
+    finite number; return if there is none."""
+    for colno, token in enumerate(tokens, start=1):
+        try:
+            value = float(token)
+        except ValueError:
             raise ParseError(
-                f"{path}: line {lineno}: expected {width} values, got {len(tokens)}",
+                f"{path}: line {lineno}, column {colno}: invalid number {token.strip()!r}",
                 line=lineno,
+                column=colno,
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(
+                f"{path}: line {lineno}, column {colno}: non-finite value {token.strip()!r}",
+                line=lineno,
+                column=colno,
             )
-        row = []
-        for colno, token in enumerate(tokens, start=1):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {colno}: invalid number {token.strip()!r}",
-                    line=lineno,
-                    column=colno,
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}: line {lineno}, column {colno}: non-finite value {token.strip()!r}",
-                    line=lineno,
-                    column=colno,
-                )
-            row.append(value)
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
 
 
 def save_matrix(m, path):
     """Write a matrix as headerless CSV with 17 significant digits."""
-    m = as_matrix(m, "matrix")
-    lines = [",".join("%.17g" % x for x in row) for row in m]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, as_matrix(m, "matrix"), fmt="%.17g", delimiter=",")
 
 
 def save_json(obj, path):

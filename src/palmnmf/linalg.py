@@ -13,8 +13,14 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-# Field annotation -> the values it admits and their name in messages.
-_NUMBER_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+# Field annotation -> the values it admits and their name in messages
+# (JSON terms: from_dict turns a list into the tuple a field holds).
+_FIELD_TYPES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    tuple: (tuple, "a list"),
+}
 
 
 def as_matrix(a, name="matrix"):
@@ -38,17 +44,18 @@ class Record:
 
     Each field is one JSON key, its name unless set by
     ``field(metadata={"key": ...})``. ``__post_init__`` raises ValueError
-    unless every field annotated ``int`` is an integer and every field
-    annotated ``float`` a real number (bools are neither); subclasses call
-    it first, then check ranges. ``from_dict`` takes each missing key's
+    unless every field annotated ``int`` is an integer, every field
+    annotated ``float`` a real number (bools are neither), and every field
+    annotated ``str`` or ``tuple`` an instance of it; subclasses call it
+    first, then check ranges. ``from_dict`` takes each missing key's
     default from the dataclass and rejects a non-mapping, a missing
     required key and an unknown key with ValueError.
     """
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type in _NUMBER_TYPES:
-                kind, noun = _NUMBER_TYPES[f.type]
+            if f.type in _FIELD_TYPES:
+                kind, noun = _FIELD_TYPES[f.type]
                 value = getattr(self, f.name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{_key(f)} must be {noun}, got {value!r}")

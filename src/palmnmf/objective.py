@@ -70,8 +70,11 @@ def evaluate(v, w, h, params):
         raise DomainError("w must be nonnegative")
     if (h < 0).any():
         raise DomainError("h must be nonnegative")
-    residual = v - w @ h
-    value = float(np.sum(residual * residual))
+    # One D x N temporary, not three: the product, then the residual,
+    # then its square, all in place.
+    r = w @ h
+    np.subtract(v, r, out=r)
+    value = float(np.sum(np.square(r, out=r)))
     if params.eta > 0:
         hd = h @ difference_operator(h.shape[1])
         value += params.eta * float(np.sum(hd * hd))

@@ -319,3 +319,14 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert (tmp_path / "d" / "V.csv").exists()
+
+    def test_import_leaves_scipy_unloaded(self, cli_env):
+        # scipy is loaded by the first score_recovery call, so synth and
+        # factorize never pay for its import.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, palmnmf.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True, env=cli_env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -1,7 +1,13 @@
 """CSV matrix format and manifest round trips."""
 
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palmnmf import (
     ObjectiveParams,
@@ -12,6 +18,83 @@ from palmnmf import (
     save_matrix,
 )
 from palmnmf.fileio import load_json, save_json
+
+
+def load_matrix_oracle(path):
+    """Reference parser: the package's token-by-token reader, kept as the
+    oracle for load_matrix's values and its ParseError contract."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty matrix file")
+    rows = []
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split(",")
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} values, got {len(tokens)}",
+                line=lineno,
+            )
+        row = []
+        for colno, token in enumerate(tokens, start=1):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {colno}: invalid number {token.strip()!r}",
+                    line=lineno,
+                    column=colno,
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: line {lineno}, column {colno}: non-finite value {token.strip()!r}",
+                    line=lineno,
+                    column=colno,
+                )
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+def parse_outcome(parse, path):
+    """What a parser makes of a file: its array's shape and bytes, or its
+    ParseError's message, line and column."""
+    try:
+        m = parse(path)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("array", m.dtype, m.shape, m.tobytes())
+
+
+def save_matrix_oracle(m):
+    """The bytes save_matrix must write: one row per line, values as %.17g."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in m)
+
+
+# Pieces of CSV text, each drawn as a unit: every character the format
+# uses, the words float() takes for non-finite values, and a blank line.
+CSV_PIECES = list("0123456789.e+-,_ \r\n") + ["inf", "nan", "\n\n"]
+TOKEN_PIECES = [p for p in CSV_PIECES if p not in (",", "\r", "\n", "\n\n")]
+
+csv_noise = st.lists(st.sampled_from(CSV_PIECES), max_size=40).map("".join)
+csv_token = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["inf", "-inf", " nan", "1e999", "1e308", "-1e308"]),
+    st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=6).map("".join),
+)
+csv_rows = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.one_of(st.lists(csv_token, min_size=width, max_size=width).map(",".join), csv_noise),
+        min_size=1,
+        max_size=6,
+    )
+)
+csv_matrix = st.tuples(csv_rows, st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["", "\n"])).map(
+    lambda t: t[1].join(t[0]) + t[2]
+)
 
 
 class TestLoadMatrix:
@@ -56,6 +139,35 @@ class TestLoadMatrix:
         with pytest.raises(FileNotFoundError):
             load_matrix(tmp_path / "nope.csv")
 
+    def test_first_error_in_file_order(self, tmp_path):
+        f = tmp_path / "m.csv"
+        cases = [
+            ("1,2\n3,nan\n4\n", "line 2, column 2: non-finite"),
+            ("1,2\nx,inf\n", "line 2, column 1: invalid"),
+            ("1,2\n3\nx,4\n", "line 2: expected 2 values, got 1"),
+            ("1e308,1e308\n5,\n", "line 2, column 2: invalid number ''"),
+        ]
+        for text, message in cases:
+            f.write_text(text)
+            with pytest.raises(ParseError, match=message):
+                load_matrix(f)
+
+    def test_wide_first_line_is_a_ragged_row(self, tmp_path):
+        # 200 001 values on the first line and as many lines: sizing the
+        # array from the first line alone would ask for 320 GB.
+        f = tmp_path / "m.csv"
+        f.write_text("0," * 200_000 + "0\n" + "0\n" * 200_000)
+        with pytest.raises(ParseError, match="line 2: expected 200001 values, got 1"):
+            load_matrix(f)
+
+    @given(csv_matrix)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text(text)
+            assert parse_outcome(load_matrix, path) == parse_outcome(load_matrix_oracle, path)
+
 
 class TestSaveMatrix:
     def test_one_by_one(self, tmp_path):
@@ -86,6 +198,23 @@ class TestSaveMatrix:
         with pytest.raises(ValueError):
             save_matrix(np.array([[np.inf]]), tmp_path / "m.csv")
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[-0.0, 5e-324, -5e-324], [1.7976931348623157e308, -1.7976931348623157e308, 1e-300]],
+            [[0.0, 1.0, -2.0], [1e17, 123456789.0, -1e22]],
+            [[np.pi]],
+            [[0.1], [-2.5e-310], [3.0]],
+        ],
+        ids=["extremes", "integral", "1x1", "column"],
+    )
+    def test_bytes_and_bitwise_round_trip(self, tmp_path, m):
+        m = np.array(m)
+        f = tmp_path / "m.csv"
+        save_matrix(m, f)
+        assert f.read_bytes() == save_matrix_oracle(m).encode()
+        assert load_matrix(f).tobytes() == m.tobytes()
+
 
 class TestRunManifest:
     def test_round_trip_through_json(self, tmp_path):
@@ -112,6 +241,21 @@ class TestRunManifest:
         assert set(d) == {"input", "params", "config", "out_dir", "files"}
         assert d["params"]["lambda"] == 0.0
         assert d["config"]["k"] == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("input", 3, "input must be a string, got 3"),
+            ("out_dir", None, "out_dir must be a string, got None"),
+            ("files", 5, "files must be a list, got 5"),
+            ("files", "W.csv", "files must be a list, got 'W.csv'"),
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, key, value, message):
+        d = {"input": "V.csv", "params": {}, "config": {"k": 2}, "out_dir": ".", "files": ["W.csv"]}
+        RunManifest.from_dict(d)
+        with pytest.raises(ValueError, match=message):
+            RunManifest.from_dict({**d, key: value})
 
 
 class TestSaveJson:

@@ -15,6 +15,7 @@ from palmnmf import (
     DomainError,
     ObjectiveParams,
     ShapeError,
+    difference_operator,
     evaluate,
     grad_h,
     grad_w,
@@ -106,6 +107,24 @@ class TestEvaluate:
             params = ObjectiveParams(lam=0.3, eta=0.7, beta_w=0.05, beta_h=0.2)
             expected = smooth_part(v, w, h, params) + params.lam * np.abs(w).sum()
             assert evaluate(v, w, h, params) == pytest.approx(expected, rel=1e-12)
+
+    def test_bitwise_explicit_formula_and_inputs_untouched(self):
+        rng = np.random.default_rng(7)
+        params = ObjectiveParams(lam=0.3, eta=0.7, beta_w=0.05, beta_h=0.2)
+        for d, k, n in ((5, 2, 9), (40, 4, 70), (120, 6, 33)):
+            v = rng.uniform(0, 1, (d, n))
+            w = rng.uniform(0, 1, (d, k))
+            h = rng.uniform(0, 1, (k, n))
+            copies = [m.copy() for m in (v, w, h)]
+            hd = h @ difference_operator(n)
+            expected = float(np.sum((v - w @ h) * (v - w @ h)))
+            expected += params.eta * float(np.sum(hd * hd))
+            expected += params.lam * float(np.sum(np.abs(w)))
+            expected += params.beta_w * float(np.sum(w * w))
+            expected += params.beta_h * float(np.sum(h * h))
+            assert evaluate(v, w, h, params) == expected
+            for m, copy in zip((v, w, h), copies):
+                assert m.tobytes() == copy.tobytes()
 
     def test_rejects_negative_factors(self):
         v = np.ones((2, 2))

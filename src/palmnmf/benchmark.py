@@ -123,14 +123,22 @@ def default_sigma(w_r, h_r):
     return 0.1 * float((as_matrix(w_r) @ as_matrix(h_r)).mean())
 
 
+def ground_truth(spec):
+    """The noiseless factors (w_true, h_true) of a synthetic spec; they do
+    not depend on its sigma or clip_mode."""
+    return (
+        gen_sparse_matrix(spec.d, spec.k, spec.w_density, spec.seed),
+        gen_smooth_rows(spec.k, spec.n, spec.seed + 1),
+    )
+
+
 def generate(spec):
     """Materialize (v, w_true, h_true) for a synthetic spec.
 
     Sub-seeds are derived deterministically: w_true uses spec.seed,
     h_true spec.seed + 1, the noise spec.seed + 2.
     """
-    w_r = gen_sparse_matrix(spec.d, spec.k, spec.w_density, spec.seed)
-    h_r = gen_smooth_rows(spec.k, spec.n, spec.seed + 1)
+    w_r, h_r = ground_truth(spec)
     v = make_v(w_r, h_r, spec.sigma, spec.clip_mode, spec.seed + 2)
     return v, w_r, h_r
 
@@ -209,13 +217,11 @@ def variant_label(params):
     return "plain"
 
 
-def default_variants(lam=0.5, eta=1.0, beta_w=0.1, beta_h=0.1):
+def default_variants(lam=0.5, eta=1.0, beta_w=ObjectiveParams.beta_w, beta_h=ObjectiveParams.beta_h):
     """The four standard comparison variants: plain, sparse, smooth, both."""
     return [
-        ObjectiveParams(lam=0.0, eta=0.0, beta_w=beta_w, beta_h=beta_h),
-        ObjectiveParams(lam=lam, eta=0.0, beta_w=beta_w, beta_h=beta_h),
-        ObjectiveParams(lam=0.0, eta=eta, beta_w=beta_w, beta_h=beta_h),
-        ObjectiveParams(lam=lam, eta=eta, beta_w=beta_w, beta_h=beta_h),
+        ObjectiveParams(lam=a, eta=b, beta_w=beta_w, beta_h=beta_h)
+        for a, b in ((0.0, 0.0), (lam, 0.0), (0.0, eta), (lam, eta))
     ]
 
 

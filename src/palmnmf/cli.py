@@ -6,6 +6,12 @@ Subcommands:
   score      -- score learned factors against ground truth
   bench      -- run the multi-seed regularization-variant comparison
 
+A flag that sets a field of ObjectiveParams, SolverConfig or SyntheticSpec
+is that field's JSON key with "-" for "_" (``--beta-w`` sets ``beta_w``),
+and only ``--clip`` spells its values differently (``max-zero``). Such a
+flag is unset unless given: the record is built by the same ``from_dict``
+that reads ``--spec`` and ``--variants``, so it supplies the default.
+
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or validation
 error. stdout carries only the documented JSON summaries; everything
 else goes to stderr.
@@ -14,79 +20,72 @@ else goes to stderr.
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .benchmark import (
+    CLIP_MODES,
     SyntheticSpec,
     default_sigma,
     default_variants,
-    gen_smooth_rows,
-    gen_sparse_matrix,
     generate,
+    ground_truth,
     run_comparison,
     score_recovery,
 )
 from .errors import NumericError
-from .fileio import RunManifest, load_json, load_matrix, save_json, save_matrix
+from .fileio import RunManifest, load_json, load_matrix, parse_json, save_json, save_matrix
 from .objective import ObjectiveParams
 from .solver import SolverConfig, solve
 
-_CLIP_FLAG_TO_MODE = {"max-zero": "max_zero", "absolute": "absolute"}
+
+def _record(cls, args, **fixed):
+    """Build record *cls* from the flags given for its JSON keys, then
+    *fixed*; a key set by neither takes the record's default."""
+    given = {key: getattr(args, key) for key in cls.keys() if getattr(args, key, None) is not None}
+    return cls.from_dict({**given, **fixed})
 
 
 def _add_synth_flags(sub):
     sub.add_argument("--d", type=int, default=100, help="rows of the truth W (default 100)")
     sub.add_argument("--k", type=int, default=5, help="number of components (default 5)")
     sub.add_argument("--n", type=int, default=200, help="columns of the truth H (default 200)")
-    sub.add_argument(
-        "--sigma",
-        type=float,
-        default=None,
-        help="noise std; default 0.1 x mean entry of the noiseless product",
-    )
+    sub.add_argument("--sigma", type=float, help="noise std; default 0.1 x mean entry of the noiseless product")
     sub.add_argument(
         "--w-density",
         type=float,
-        default=1.0,
-        help="fraction of nonzero entries in the truth W (default 1.0)",
+        help=f"fraction of nonzero entries in the truth W (default {SyntheticSpec.w_density})",
     )
     sub.add_argument(
         "--clip",
-        choices=sorted(_CLIP_FLAG_TO_MODE),
-        default="max-zero",
-        help="how negatives after noise are made nonnegative (default max-zero)",
+        choices=sorted(mode.replace("_", "-") for mode in CLIP_MODES),
+        help="how negatives after noise are made nonnegative "
+        f"(default {SyntheticSpec.clip_mode.replace('_', '-')})",
     )
-    sub.add_argument("--seed", type=int, default=0, help="data seed (default 0)")
+    sub.add_argument("--seed", type=int, help=f"data seed (default {SyntheticSpec.seed})")
+
+
+def _add_stop_flags(sub):
+    sub.add_argument("--max-iter", type=int, help=f"iteration cap (default {SolverConfig.max_iter})")
+    sub.add_argument("--tol", type=float, help=f"relative step tolerance (default {SolverConfig.tol})")
 
 
 def _spec_from_flags(args):
-    sigma = args.sigma
-    if sigma is None:
-        w_r = gen_sparse_matrix(args.d, args.k, args.w_density, args.seed)
-        h_r = gen_smooth_rows(args.k, args.n, args.seed + 1)
-        sigma = default_sigma(w_r, h_r)
-    return SyntheticSpec(
-        d=args.d,
-        k=args.k,
-        n=args.n,
-        sigma=sigma,
-        w_density=args.w_density,
-        clip_mode=_CLIP_FLAG_TO_MODE[args.clip],
-        seed=args.seed,
-    )
+    """The spec the synth flags give, checked before anything is drawn.
+    Without --sigma, sigma is the default noise level of the spec's truth."""
+    fixed = {} if args.clip is None else {"clip_mode": args.clip.replace("-", "_")}
+    if args.sigma is None:
+        fixed["sigma"] = 0.0  # stands in until the truth is drawn
+    spec = _record(SyntheticSpec, args, **fixed)
+    if args.sigma is None:
+        spec = replace(spec, sigma=default_sigma(*ground_truth(spec)))
+    return spec
 
 
 def cmd_factorize(args):
     v = load_matrix(args.input)
-    params = ObjectiveParams(lam=args.lam, eta=args.eta, beta_w=args.beta_w, beta_h=args.beta_h)
-    config = SolverConfig(
-        k=args.k,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    params = _record(ObjectiveParams, args)
+    config = _record(SolverConfig, args)
     result = solve(v, params, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,90 +132,60 @@ def cmd_score(args):
         load_matrix(args.w_true),
         load_matrix(args.h_true),
     )
-    print(
-        json.dumps(
-            {
-                "dist_w": score.dist_w,
-                "dist_h": score.dist_h,
-                "permutation": list(score.permutation),
-            }
-        )
-    )
+    print(json.dumps(asdict(score)))
     return 0
 
 
 def _load_variants(value):
     if value is None:
         return default_variants()
-    text = value if value.lstrip().startswith("[") else Path(value).read_text()
-    items = json.loads(text)
+    if value.lstrip().startswith("["):
+        items = parse_json(value, "--variants")
+    else:
+        items = load_json(value)
     if not isinstance(items, list) or not items or not all(isinstance(i, dict) for i in items):
         raise ValueError("--variants must be a non-empty JSON list of parameter objects")
     return [ObjectiveParams.from_dict(item) for item in items]
 
 
 def cmd_bench(args):
-    if args.spec:
-        spec = SyntheticSpec.from_dict(load_json(args.spec))
-    else:
-        spec = _spec_from_flags(args)
+    spec = SyntheticSpec.from_dict(load_json(args.spec)) if args.spec else _spec_from_flags(args)
     variants = _load_variants(args.variants)
-    config = SolverConfig(
-        k=spec.k,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.init_seed,
-    )
+    config = _record(SolverConfig, args, k=spec.k, seed=args.init_seed)
     results = run_comparison(spec, variants, config, args.repeats)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_lines = ["variant,seed,dist_w,dist_h"]
+    table_variants = []
+    summary = []
     for vr in results:
+        runs = []
         for run in vr.runs:
             if run.error is None:
                 csv_lines.append("%s,%d,%.17g,%.17g" % (vr.label, run.seed, run.dist_w, run.dist_h))
+                dist_w, dist_h = run.dist_w, run.dist_h
             else:
                 csv_lines.append("%s,%d,failed,failed" % (vr.label, run.seed))
-    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
-
-    table = {
-        "spec": spec.to_dict(),
-        "config": config.to_dict(),
-        "repeats": args.repeats,
-        "variants": [
-            {
-                "label": vr.label,
-                "params": vr.params.to_dict(),
-                "runs": [
-                    {
-                        "seed": run.seed,
-                        "dist_w": None if run.error is not None else run.dist_w,
-                        "dist_h": None if run.error is not None else run.dist_h,
-                        "converged": run.converged,
-                        "error": run.error,
-                    }
-                    for run in vr.runs
-                ],
-                "stats": vr.stats(),
-            }
-            for vr in results
-        ],
-    }
-    save_json(table, out / "comparison.json")
-
-    summary = []
-    for vr in results:
+                dist_w = dist_h = None
+            runs.append(
+                {"seed": run.seed, "dist_w": dist_w, "dist_h": dist_h, "converged": run.converged, "error": run.error}
+            )
         stats = vr.stats()
+        table_variants.append({"label": vr.label, "params": vr.params.to_dict(), "runs": runs, "stats": stats})
         summary.append(
             {
                 "variant": vr.label,
                 "median_dist_w": stats["dist_w"]["median"],
                 "median_dist_h": stats["dist_h"]["median"],
                 "median_score": stats["score"]["median"],
-                "failed": sum(1 for run in vr.runs if run.error is not None),
+                "failed": sum(run.error is not None for run in vr.runs),
             }
         )
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
+    table = {"spec": spec.to_dict(), "config": config.to_dict(), "repeats": args.repeats, "variants": table_variants}
+    save_json(table, out / "comparison.json")
     print(json.dumps(summary))
 
     if all(run.error is not None for vr in results for run in vr.runs):
@@ -235,15 +204,14 @@ def build_parser():
     p = sub.add_parser("factorize", help="factorize a CSV matrix")
     p.add_argument("--input", required=True, help="input matrix CSV")
     p.add_argument("--k", type=int, required=True, help="number of components")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="l1 weight on W (default 0)")
-    p.add_argument("--eta", type=float, default=0.0, help="smoothness weight on H (default 0)")
-    p.add_argument("--beta-w", type=float, default=0.1, help="ridge weight on W (default 0.1)")
-    p.add_argument("--beta-h", type=float, default=0.1, help="ridge weight on H (default 0.1)")
-    p.add_argument("--gamma1", type=float, default=1.1, help="W step safety factor (default 1.1)")
-    p.add_argument("--gamma2", type=float, default=1.1, help="H step safety factor (default 1.1)")
-    p.add_argument("--max-iter", type=int, default=5000, help="iteration cap (default 5000)")
-    p.add_argument("--tol", type=float, default=1e-6, help="relative step tolerance (default 1e-6)")
-    p.add_argument("--seed", type=int, default=0, help="initialization seed (default 0)")
+    p.add_argument("--lambda", type=float, help=f"l1 weight on W (default {ObjectiveParams.lam})")
+    p.add_argument("--eta", type=float, help=f"smoothness weight on H (default {ObjectiveParams.eta})")
+    p.add_argument("--beta-w", type=float, help=f"ridge weight on W (default {ObjectiveParams.beta_w})")
+    p.add_argument("--beta-h", type=float, help=f"ridge weight on H (default {ObjectiveParams.beta_h})")
+    p.add_argument("--gamma1", type=float, help=f"W step safety factor (default {SolverConfig.gamma1})")
+    p.add_argument("--gamma2", type=float, help=f"H step safety factor (default {SolverConfig.gamma2})")
+    _add_stop_flags(p)
+    p.add_argument("--seed", type=int, help=f"initialization seed (default {SolverConfig.seed})")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_factorize)
 
@@ -269,8 +237,7 @@ def build_parser():
         help="JSON list of parameter objects, inline or a file path "
         "(default: plain, sparse, smooth, sparse+smooth)",
     )
-    p.add_argument("--max-iter", type=int, default=5000, help="iteration cap (default 5000)")
-    p.add_argument("--tol", type=float, default=1e-6, help="relative step tolerance (default 1e-6)")
+    _add_stop_flags(p)
     p.add_argument(
         "--init-seed",
         type=int,

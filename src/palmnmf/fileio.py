@@ -7,6 +7,7 @@ save/load round trip is bitwise exact for float64.
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,35 +25,29 @@ def load_matrix(path):
     Raises ParseError (with 1-based line/column where known) on empty
     files, ragged rows, and tokens that are not finite decimal numbers.
     Errors are reported in file order: the first line that fails, and
-    within it the first bad token.
+    within it the first bad token. Lines end at "\n", "\r\n" or "\r".
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines:
+    values = array("d")
+    width = None
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            tokens = line.split(",")
+            if width is None:
+                width = len(tokens)
+            elif len(tokens) != width:
+                raise ParseError(f"{path}: line {lineno}: expected {width} values, got {len(tokens)}", line=lineno)
+            try:
+                row = list(map(float, tokens))
+            except ValueError:
+                row = None
+            # A non-finite sum flags a nan or inf token, or finite values
+            # whose sum overflows, which _check_tokens lets through.
+            if row is None or not math.isfinite(sum(row)):
+                _check_tokens(path, lineno, tokens)
+            values.extend(row)
+    if width is None:
         raise ParseError(f"{path}: empty matrix file")
-    width = lines[0].count(",") + 1
-    # The array holds only the rows before the first ragged line, so a
-    # malformed first line cannot size it beyond what the file contains.
-    n_rows = next((i for i, line in enumerate(lines) if line.count(",") != width - 1), len(lines))
-    m = np.empty((n_rows, width))
-    for i in range(n_rows):
-        tokens = lines[i].split(",")
-        try:
-            row = list(map(float, tokens))
-        except ValueError:
-            row = None
-        # A non-finite sum flags a nan or inf token, or finite values
-        # whose sum overflows, which _check_tokens lets through.
-        if row is None or not math.isfinite(sum(row)):
-            _check_tokens(path, i + 1, tokens)
-        m[i] = row
-    if n_rows < len(lines):
-        lineno = n_rows + 1
-        raise ParseError(
-            f"{path}: line {lineno}: expected {width} values, got {lines[n_rows].count(',') + 1}",
-            line=lineno,
-        )
-    return m
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def _check_tokens(path, lineno, tokens):
@@ -87,7 +82,21 @@ def save_json(obj, path):
 
 
 def load_json(path):
-    return json.loads(Path(path).read_text())
+    """Read a JSON file; a decode or syntax error names *path*."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parse_json(text, path)
+
+
+def parse_json(text, source):
+    """Parse JSON text; a syntax error, or nesting too deep to parse, is a
+    ValueError that names *source* (a path or a flag)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass(frozen=True)

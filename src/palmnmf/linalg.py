@@ -74,12 +74,17 @@ class Record:
         return out
 
     @classmethod
+    def keys(cls):
+        """The JSON keys, in field order."""
+        return [_key(f) for f in fields(cls)]
+
+    @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``."""
         what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()  # "run manifest"
         if not isinstance(d, Mapping):
             raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-        by_key = {_key(f): f for f in fields(cls)}
+        by_key = dict(zip(cls.keys(), fields(cls)))
         unknown = ", ".join(repr(key) for key in d if key not in by_key)
         if unknown:
             raise ValueError(f"{what} has unknown key(s) {unknown}; known keys are {', '.join(by_key)}")

@@ -3,12 +3,25 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import palmnmf.cli as cli
-from palmnmf import NumericError, SyntheticSpec, load_matrix, save_matrix
+from palmnmf import (
+    NumericError,
+    ObjectiveParams,
+    SolverConfig,
+    SyntheticSpec,
+    default_variants,
+    load_matrix,
+    save_matrix,
+)
+from palmnmf.benchmark import CLIP_MODES
 from palmnmf.cli import main
 
 
@@ -123,6 +136,24 @@ class TestSynth:
     def test_invalid_density_is_usage_error(self, tmp_path, capsys):
         rc = main(["synth", "--w-density", "0", "--out", str(tmp_path / "d")])
         assert rc == 2
+
+    @pytest.mark.parametrize("sigma", [[], ["--sigma", "0.1"]], ids=["default-sigma", "given-sigma"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--w-density", "0"], "w_density must be in (0, 1], got 0.0"),
+            (["--d", "0"], "d, k, n must be >= 1, got d=0, k=5, n=200"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=["w-density", "d", "seed"],
+    )
+    def test_bad_flag_has_one_message(self, flags, message, sigma, tmp_path, capsys):
+        # The spec is checked before the default sigma draws its truth, so
+        # whether --sigma is given does not change the message.
+        out = tmp_path / "data"
+        assert main(["synth", *flags, *sigma, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_spec_json_reusable_by_bench(self, tmp_path):
         out = tmp_path / "data"
@@ -243,6 +274,26 @@ class TestBench:
         assert rc == 1
 
 
+class TestDefaults:
+    """A flag that is not given takes its record's default."""
+
+    def test_factorize(self, small_input, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["factorize", "--input", str(small_input), "--k", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"] == ObjectiveParams().to_dict()
+        assert manifest["config"] == SolverConfig(k=3).to_dict()
+
+    def test_bench(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--d", "4", "--k", "2", "--n", "6", "--repeats", "1", "--out", str(out)]) == 0
+        table = json.loads((out / "comparison.json").read_text())
+        spec = SyntheticSpec.from_dict(table["spec"])
+        assert table["spec"] == SyntheticSpec(d=4, k=2, n=6, sigma=spec.sigma).to_dict()
+        assert table["config"] == SolverConfig(k=spec.k, seed=1000).to_dict()
+        assert [v["params"] for v in table["variants"]] == [p.to_dict() for p in default_variants()]
+
+
 def usage_error(args, cli_env):
     """Run the CLI as a child process, check that it reports a usage error
     (exit 2, one ``error:`` line on stderr, no traceback) and return stderr."""
@@ -267,21 +318,69 @@ def usage_error(args, cli_env):
         ({"spec": {"d": 6, "k": "2", "n": 6, "sigma": 0.1}}, "k must be an integer"),
         ({"variants": '[{"lamda": 0.5}]'}, "'lamda'"),
         ({"spec": {"d": 6, "k": 2, "n": 6, "sigma": 0.1, "w_desnity": 0.5}}, "'w_desnity'"),
+        ({"spec": b'{"d": 6, "k": 2, '}, "spec.json: Expecting property name"),
+        ({"spec": b'{"d": \xff}'}, "spec.json: 'utf-8' codec can't decode"),
+        ({"spec": b"[" * 100_000}, "spec.json: maximum recursion depth"),
+        ({"variants": '[{"lambda": 0.5'}, "--variants: Expecting ',' delimiter"),
+        ({"variants_file": b'[{"eta": '}, "variants.json: Expecting value"),
+        ({"variants_file": b'[{"eta": "\xff"}]'}, "variants.json: 'utf-8' codec can't decode"),
     ],
     ids=[
         "variants-ints", "variants-str-weight", "spec-no-d", "spec-str-d", "spec-list", "spec-str-k",
-        "variants-misspelt-key", "spec-misspelt-key",
+        "variants-misspelt-key", "spec-misspelt-key", "spec-truncated", "spec-bad-utf8", "spec-too-deep",
+        "variants-truncated", "variants-file-truncated", "variants-file-bad-utf8",
     ],
 )
 def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
+    """A ``spec`` or ``variants_file`` case is written to a file: bytes as
+    they are, anything else as JSON; a ``variants`` case is passed inline."""
+    [(kind, value)] = case.items()
     args = ["bench", "--repeats", "1", "--max-iter", "5", "--out", str(tmp_path / "o")]
-    if "variants" in case:
-        args += ["--d", "4", "--k", "2", "--n", "6", "--variants", case["variants"]]
+    if kind != "spec":
+        args += ["--d", "4", "--k", "2", "--n", "6"]
+    if kind == "variants":
+        args += ["--variants", value]
     else:
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(case["spec"]))
-        args += ["--spec", str(spec)]
+        path = tmp_path / ("spec.json" if kind == "spec" else "variants.json")
+        path.write_bytes(value if isinstance(value, bytes) else json.dumps(value).encode())
+        args += ["--spec" if kind == "spec" else "--variants", str(path)]
     assert named in usage_error(args, cli_env)
+
+
+# JSON documents for the fuzz test below: keys mostly the records' own, so
+# that many documents get past the key check; integers small, so that no
+# drawn spec asks for a large allocation; lists short.
+json_keys = st.sampled_from(SyntheticSpec.keys() + ObjectiveParams.keys()) | st.text(max_size=3)
+json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 20)
+    | st.floats(-3, 20)
+    | st.sampled_from([float("nan"), float("inf"), 1e-300])
+    | st.sampled_from(CLIP_MODES)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(json_keys, children, max_size=8),
+    max_leaves=16,
+)
+
+
+@given(
+    spec=json_docs.map(json.dumps) | st.text(max_size=20),
+    variants=st.lists(json_docs, max_size=3).map(json.dumps) | st.text(max_size=20).map("[".__add__),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_json_input_exits_0_1_or_2(spec, variants):
+    """Arbitrary JSON text as ``--spec`` (a file) or inline ``--variants``
+    ends in an exit code of the documented contract, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(spec)
+        common = ["--repeats", "1", "--max-iter", "1"]
+        assert main(["bench", "--spec", str(path), *common, "--out", str(Path(tmp) / "a")]) in (0, 1, 2)
+        assert main([
+            "bench", "--d", "4", "--k", "2", "--n", "6", "--variants", variants, *common,
+            "--out", str(Path(tmp) / "b"),
+        ]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,17 @@ class TestLoadMatrix:
             with pytest.raises(ParseError, match=message):
                 load_matrix(f)
 
+    def test_lines_end_only_at_newline_and_carriage_return(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("1\r2\r\n3\n")
+        np.testing.assert_array_equal(load_matrix(f), [[1.0], [2.0], [3.0]])
+        # str.splitlines would also break at these; here each stays inside
+        # its token.
+        for sep in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+            f.write_text(f"1{sep}2\n")
+            with pytest.raises(ParseError, match="line 1, column 1: invalid number"):
+                load_matrix(f)
+
     def test_wide_first_line_is_a_ragged_row(self, tmp_path):
         # 200 001 values on the first line and as many lines: sizing the
         # array from the first line alone would ask for 320 GB.

@@ -18,7 +18,7 @@ from .benchmark import (
     variant_label,
 )
 from .errors import DomainError, NumericError, ParseError, ShapeError
-from .fileio import RunManifest, load_matrix, save_matrix
+from .fileio import load_matrix, save_matrix
 from .linalg import (
     difference_operator,
     nonneg_project,
@@ -43,7 +43,6 @@ __all__ = [
     "ObjectiveParams",
     "ParseError",
     "RecoveryScore",
-    "RunManifest",
     "RunScore",
     "ShapeError",
     "SolverConfig",

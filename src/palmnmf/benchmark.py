@@ -45,8 +45,8 @@ class SyntheticSpec(Record):
             raise ValueError(
                 f"d, k, n must be >= 1, got d={self.d}, k={self.k}, n={self.n}"
             )
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if not 0 < self.w_density <= 1:
             raise ValueError(f"w_density must be in (0, 1], got {self.w_density}")
         if self.clip_mode not in CLIP_MODES:
@@ -217,12 +217,10 @@ def variant_label(params):
     return "plain"
 
 
-def default_variants(lam=0.5, eta=1.0, beta_w=ObjectiveParams.beta_w, beta_h=ObjectiveParams.beta_h):
-    """The four standard comparison variants: plain, sparse, smooth, both."""
-    return [
-        ObjectiveParams(lam=a, eta=b, beta_w=beta_w, beta_h=beta_h)
-        for a, b in ((0.0, 0.0), (lam, 0.0), (0.0, eta), (lam, eta))
-    ]
+def default_variants():
+    """The four standard comparison variants: plain, sparse (lambda 0.5),
+    smooth (eta 1) and both, each with the default ridge weights."""
+    return [ObjectiveParams(lam=lam, eta=eta) for lam, eta in ((0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 1.0))]
 
 
 @dataclass(frozen=True)

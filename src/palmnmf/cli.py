@@ -34,7 +34,7 @@ from .benchmark import (
     score_recovery,
 )
 from .errors import NumericError
-from .fileio import RunManifest, load_json, load_matrix, parse_json, save_json, save_matrix
+from .fileio import load_json, load_matrix, parse_json, save_json, save_matrix
 from .objective import ObjectiveParams
 from .solver import SolverConfig, solve
 
@@ -92,14 +92,14 @@ def cmd_factorize(args):
     save_matrix(result.w, out / "W.csv")
     save_matrix(result.h, out / "H.csv")
     save_matrix(list(enumerate(result.objective_trace)), out / "trace.csv")
-    manifest = RunManifest(
-        input=args.input,
-        params=params,
-        config=config,
-        out_dir=args.out,
-        files=("W.csv", "H.csv", "trace.csv", "manifest.json"),
-    )
-    save_json(manifest.to_dict(), out / "manifest.json")
+    manifest = {
+        "input": args.input,
+        "params": params.to_dict(),
+        "config": config.to_dict(),
+        "out_dir": args.out,
+        "files": ["W.csv", "H.csv", "trace.csv", "manifest.json"],
+    }
+    save_json(manifest, out / "manifest.json")
     print(
         json.dumps(
             {
@@ -151,7 +151,13 @@ def _load_variants(value):
 def cmd_bench(args):
     spec = SyntheticSpec.from_dict(load_json(args.spec)) if args.spec else _spec_from_flags(args)
     variants = _load_variants(args.variants)
-    config = _record(SolverConfig, args, k=spec.k, seed=args.init_seed)
+    # --seed is the data seed here; the config's seed comes from --init-seed,
+    # set on its own so that an error in it names that flag.
+    config = _record(SolverConfig, args, k=spec.k, seed=SolverConfig.seed)
+    try:
+        config = replace(config, seed=args.init_seed)
+    except ValueError as exc:
+        raise ValueError(f"--init-seed: {exc}") from None
     results = run_comparison(spec, variants, config, args.repeats)
 
     csv_lines = ["variant,seed,dist_w,dist_h"]

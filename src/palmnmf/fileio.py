@@ -8,15 +8,12 @@ save/load round trip is bitwise exact for float64.
 import json
 import math
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .linalg import Record, as_matrix
-from .objective import ObjectiveParams
-from .solver import SolverConfig
+from .linalg import as_matrix
 
 
 def load_matrix(path):
@@ -26,10 +23,12 @@ def load_matrix(path):
     files, ragged rows, and tokens that are not finite decimal numbers.
     Errors are reported in file order: the first line that fails, and
     within it the first bad token. Lines end at "\n", "\r\n" or "\r".
+    A byte that is not UTF-8 is read as a lone surrogate, which no number
+    contains, so it is reported as an invalid token at its line and column.
     """
     values = array("d")
     width = None
-    with open(path) as f:
+    with open(path, errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             tokens = line.split(",")
             if width is None:
@@ -97,14 +96,3 @@ def parse_json(text, source):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{source}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class RunManifest(Record):
-    """Record of one factorization run: what went in, what came out."""
-
-    input: str
-    params: ObjectiveParams
-    config: SolverConfig
-    out_dir: str
-    files: tuple

@@ -6,6 +6,7 @@ validators here (``as_matrix`` and ``Record``) run only where data
 enters; the prox maps are step kernels that trust theirs.
 """
 
+import math
 import numbers
 import re
 from collections.abc import Mapping
@@ -13,13 +14,11 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-# Field annotation -> the values it admits and their name in messages
-# (JSON terms: from_dict turns a list into the tuple a field holds).
+# Field annotation -> the values it admits and their name in messages.
 _FIELD_TYPES = {
     int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a number"),
+    float: (numbers.Real, "a finite number"),
     str: (str, "a string"),
-    tuple: (tuple, "a list"),
 }
 
 
@@ -39,17 +38,25 @@ def _key(f):
     return f.metadata.get("key", f.name)
 
 
+def _finite(x):
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range, such as 10**400
+        return False
+
+
 class Record:
     """Base of the frozen config dataclasses: field types and the JSON codec.
 
     Each field is one JSON key, its name unless set by
     ``field(metadata={"key": ...})``. ``__post_init__`` raises ValueError
     unless every field annotated ``int`` is an integer, every field
-    annotated ``float`` a real number (bools are neither), and every field
-    annotated ``str`` or ``tuple`` an instance of it; subclasses call it
-    first, then check ranges. ``from_dict`` takes each missing key's
-    default from the dataclass and rejects a non-mapping, a missing
-    required key and an unknown key with ValueError.
+    annotated ``float`` a finite real number (bools are neither; nor are
+    NaN, +-inf and integers beyond the float range), and every field
+    annotated ``str`` a string; subclasses call it first, then check
+    ranges. ``from_dict`` takes each missing key's default from the
+    dataclass and rejects a non-mapping, a missing required key and an
+    unknown key with ValueError.
     """
 
     def __post_init__(self):
@@ -57,21 +64,12 @@ class Record:
             if f.type in _FIELD_TYPES:
                 kind, noun = _FIELD_TYPES[f.type]
                 value = getattr(self, f.name)
-                if isinstance(value, bool) or not isinstance(value, kind):
+                if isinstance(value, bool) or not isinstance(value, kind) or (f.type is float and not _finite(value)):
                     raise ValueError(f"{_key(f)} must be {noun}, got {value!r}")
 
     def to_dict(self):
-        """One key per field, in field order; nested records recurse and
-        tuples become lists."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Record):
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[_key(f)] = value
-        return out
+        """One key per field, in field order."""
+        return {_key(f): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def keys(cls):
@@ -81,25 +79,17 @@ class Record:
     @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``."""
-        what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()  # "run manifest"
+        what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()  # "solver config"
         if not isinstance(d, Mapping):
             raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
         by_key = dict(zip(cls.keys(), fields(cls)))
         unknown = ", ".join(repr(key) for key in d if key not in by_key)
         if unknown:
             raise ValueError(f"{what} has unknown key(s) {unknown}; known keys are {', '.join(by_key)}")
-        kwargs = {}
         for key, f in by_key.items():
-            if key in d:
-                value = d[key]
-                if isinstance(f.type, type) and issubclass(f.type, Record):
-                    value = f.type.from_dict(value)
-                elif f.type is tuple and isinstance(value, list):
-                    value = tuple(value)
-                kwargs[f.name] = value
-            elif f.default is MISSING:
+            if key not in d and f.default is MISSING:
                 raise ValueError(f"{what} is missing required key {key!r}")
-        return cls(**kwargs)
+        return cls(**{f.name: d[key] for key, f in by_key.items() if key in d})
 
 
 def difference_operator(n):

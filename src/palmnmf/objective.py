@@ -45,8 +45,8 @@ class ObjectiveParams(Record):
     def __post_init__(self):
         super().__post_init__()
         for key, value in self.to_dict().items():
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
 
 
 def evaluate(v, w, h, params):

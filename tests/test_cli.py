@@ -324,11 +324,14 @@ def usage_error(args, cli_env):
         ({"variants": '[{"lambda": 0.5'}, "--variants: Expecting ',' delimiter"),
         ({"variants_file": b'[{"eta": '}, "variants.json: Expecting value"),
         ({"variants_file": b'[{"eta": "\xff"}]'}, "variants.json: 'utf-8' codec can't decode"),
+        ({"variants": '[{"eta": %d}]' % 10**400}, "eta must be a finite number"),
+        ({"spec": {"d": 6, "k": 2, "n": 6, "sigma": 10**400}}, "sigma must be a finite number"),
     ],
     ids=[
         "variants-ints", "variants-str-weight", "spec-no-d", "spec-str-d", "spec-list", "spec-str-k",
         "variants-misspelt-key", "spec-misspelt-key", "spec-truncated", "spec-bad-utf8", "spec-too-deep",
         "variants-truncated", "variants-file-truncated", "variants-file-bad-utf8",
+        "variants-huge-int-weight", "spec-huge-int-sigma",
     ],
 )
 def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
@@ -347,14 +350,29 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
     assert named in usage_error(args, cli_env)
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--gamma1", "1e999")])
+def test_non_finite_solver_flag_fails_before_solving(flag, value, small_input, tmp_path, cli_env):
+    out = tmp_path / "o"
+    stderr = usage_error(["factorize", "--input", str(small_input), "--k", "2", flag, value, "--out", str(out)], cli_env)
+    assert f"{flag[2:]} must be a finite number" in stderr
+    assert not out.exists()
+
+
+def test_bad_init_seed_names_its_flag(tmp_path, cli_env):
+    args = ["bench", "--d", "4", "--k", "2", "--n", "6", "--init-seed", "-1", "--out", str(tmp_path / "o")]
+    assert usage_error(args, cli_env) == "error: --init-seed: seed must be >= 0, got -1\n"
+
+
 # JSON documents for the fuzz test below: keys mostly the records' own, so
 # that many documents get past the key check; integers small, so that no
-# drawn spec asks for a large allocation; lists short.
+# drawn spec asks for a large allocation (but for +-10**400, which numpy
+# rejects as a dimension before it allocates anything); lists short.
 json_keys = st.sampled_from(SyntheticSpec.keys() + ObjectiveParams.keys()) | st.text(max_size=3)
 json_docs = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-3, 20)
+    | st.sampled_from([10**400, -(10**400)])
     | st.floats(-3, 20)
     | st.sampled_from([float("nan"), float("inf"), 1e-300])
     | st.sampled_from(CLIP_MODES)

@@ -1,4 +1,4 @@
-"""CSV matrix format and manifest round trips."""
+"""CSV matrix format and JSON file round trips."""
 
 import math
 import tempfile
@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palmnmf import (
-    ObjectiveParams,
     ParseError,
-    RunManifest,
-    SolverConfig,
     load_matrix,
     save_matrix,
 )
-from palmnmf.fileio import load_json, save_json
+from palmnmf.fileio import save_json
 
 
 def load_matrix_oracle(path):
@@ -152,6 +149,16 @@ class TestLoadMatrix:
             with pytest.raises(ParseError, match=message):
                 load_matrix(f)
 
+    def test_bad_utf8_byte_names_file_line_and_column(self, tmp_path):
+        # Far enough into the file that a position counted from the start
+        # of a read buffer would differ from one counted from the file's.
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"1.5,2.5,3.5\n" * 5000 + b"4,5\xff,6\n7,8,9\n")
+        with pytest.raises(ParseError) as info:
+            load_matrix(f)
+        assert (info.value.line, info.value.column) == (5001, 2)
+        assert str(info.value).startswith(f"{f}: line 5001, column 2: invalid number")
+
     def test_lines_end_only_at_newline_and_carriage_return(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("1\r2\r\n3\n")
@@ -225,48 +232,6 @@ class TestSaveMatrix:
         save_matrix(m, f)
         assert f.read_bytes() == save_matrix_oracle(m).encode()
         assert load_matrix(f).tobytes() == m.tobytes()
-
-
-class TestRunManifest:
-    def test_round_trip_through_json(self, tmp_path):
-        manifest = RunManifest(
-            input="data/V.csv",
-            params=ObjectiveParams(lam=0.5, eta=2.0),
-            config=SolverConfig(k=4, seed=7, max_iter=100),
-            out_dir="out",
-            files=("W.csv", "H.csv", "trace.csv", "manifest.json"),
-        )
-        path = tmp_path / "manifest.json"
-        save_json(manifest.to_dict(), path)
-        assert RunManifest.from_dict(load_json(path)) == manifest
-
-    def test_serialized_field_names(self):
-        manifest = RunManifest(
-            input="V.csv",
-            params=ObjectiveParams(),
-            config=SolverConfig(k=2),
-            out_dir=".",
-            files=("W.csv",),
-        )
-        d = manifest.to_dict()
-        assert set(d) == {"input", "params", "config", "out_dir", "files"}
-        assert d["params"]["lambda"] == 0.0
-        assert d["config"]["k"] == 2
-
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("input", 3, "input must be a string, got 3"),
-            ("out_dir", None, "out_dir must be a string, got None"),
-            ("files", 5, "files must be a list, got 5"),
-            ("files", "W.csv", "files must be a list, got 'W.csv'"),
-        ],
-    )
-    def test_from_dict_rejects_wrong_types(self, key, value, message):
-        d = {"input": "V.csv", "params": {}, "config": {"k": 2}, "out_dir": ".", "files": ["W.csv"]}
-        RunManifest.from_dict(d)
-        with pytest.raises(ValueError, match=message):
-            RunManifest.from_dict({**d, key: value})
 
 
 class TestSaveJson:

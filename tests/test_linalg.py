@@ -3,13 +3,27 @@
 The oracles here deliberately avoid the code paths under test: the
 difference operator is checked against explicit column differences and
 its Gram structure, and the thresholding map via 1-D grid search on its
-defining objective.
+defining objective. The config records' codec is checked by round trips
+of drawn valid records through JSON text.
 """
+
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from palmnmf import difference_operator, nonneg_project, soft_threshold_nonneg
+from palmnmf import (
+    ObjectiveParams,
+    SolverConfig,
+    SyntheticSpec,
+    difference_operator,
+    nonneg_project,
+    soft_threshold_nonneg,
+)
+from palmnmf.benchmark import CLIP_MODES
 
 
 class TestDifferenceOperator:
@@ -87,3 +101,48 @@ class TestSoftThresholdNonneg:
     def test_nan_threshold(self):
         with pytest.raises(ValueError):
             soft_threshold_nonneg(np.ones((1, 1)), float("nan"))
+
+
+def reals(min_value, max_value=None, exclude_min=False):
+    """Finite numbers for a ``float`` field: floats, and integers, which
+    the records accept and JSON keeps as integers."""
+    floats = st.floats(min_value, max_value, exclude_min=exclude_min, allow_nan=False, allow_infinity=False)
+    return floats | st.integers(int(min_value) + exclude_min, 10**30 if max_value is None else int(max_value))
+
+
+records = st.one_of(
+    st.builds(
+        SolverConfig,
+        k=st.integers(min_value=1),
+        gamma1=reals(1.0, exclude_min=True),
+        gamma2=reals(1.0, exclude_min=True),
+        max_iter=st.integers(min_value=1),
+        tol=reals(0.0, exclude_min=True),
+        seed=st.integers(min_value=0),
+    ),
+    st.builds(ObjectiveParams, lam=reals(0.0), eta=reals(0.0), beta_w=reals(0.0), beta_h=reals(0.0)),
+    st.builds(
+        SyntheticSpec,
+        d=st.integers(min_value=1),
+        k=st.integers(min_value=1),
+        n=st.integers(min_value=1),
+        sigma=reals(0.0),
+        w_density=reals(0.0, 1.0, exclude_min=True),
+        clip_mode=st.sampled_from(CLIP_MODES),
+        seed=st.integers(min_value=0),
+    ),
+)
+
+
+class TestRecord:
+    @given(records)
+    def test_json_round_trip(self, record):
+        text = json.dumps(record.to_dict(), allow_nan=False)
+        assert type(record).from_dict(json.loads(text)) == record
+
+    @given(records, st.data(), st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]))
+    def test_rejects_non_finite_float_field(self, record, data, bad):
+        by_key = {key: f for key, f in zip(record.keys(), fields(record)) if f.type is float}
+        key = data.draw(st.sampled_from(sorted(by_key)))
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number, got "):
+            replace(record, **{by_key[key].name: bad})

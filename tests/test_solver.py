@@ -53,6 +53,8 @@ class TestSolverConfig:
             {"k": 2, "seed": None},
             {"k": True},
             {"k": 2, "tol": "1e-6"},
+            {"k": 2, "tol": float("inf")},
+            {"k": 2, "gamma2": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .linalg import Record, as_matrix
+from .linalg import Record, as_matrix, require_allocatable
 from .objective import ObjectiveParams
 from .solver import solve
 
@@ -125,7 +125,12 @@ def default_sigma(w_r, h_r):
 
 def ground_truth(spec):
     """The noiseless factors (w_true, h_true) of a synthetic spec; they do
-    not depend on its sigma or clip_mode."""
+    not depend on its sigma or clip_mode. A spec whose v, w_true or h_true
+    would not fit in physical memory is a ValueError, raised before any
+    of them is drawn."""
+    require_allocatable("v (d x n)", spec.d, spec.n)
+    require_allocatable("w_true (d x k)", spec.d, spec.k)
+    require_allocatable("h_true (k x n)", spec.k, spec.n)
     return (
         gen_sparse_matrix(spec.d, spec.k, spec.w_density, spec.seed),
         gen_smooth_rows(spec.k, spec.n, spec.seed + 1),
@@ -170,6 +175,66 @@ def _normalize_columns(m):
     return out
 
 
+def _assign(cost):
+    """Column assigned to each row of the square *cost* matrix in a
+    minimum-sum matching: ``cost[i, col[i]]`` summed is least.
+
+    The shortest-augmenting-path method of D. F. Crouse, "On implementing
+    2D rectangular assignment algorithms", IEEE Trans. Aerospace and
+    Electronic Systems 52(4), 2016, as SciPy's ``linear_sum_assignment``
+    implements it, with each Dijkstra step done over all remaining
+    columns at once. The scan order and tie rule are SciPy's too, so the
+    same permutation comes out even on ties: the remaining columns are
+    kept in SciPy's order, and among those at the least path cost the
+    last unassigned one wins, else the first. O(k^3) in the worst case.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1)
+    col4row = np.full(n, -1)
+    row4col = np.full(n, -1)
+    for cur in range(n):
+        spc = np.full(n, np.inf)  # shortest path cost to each column
+        rows_seen = np.zeros(n, dtype=bool)
+        cols_seen = np.zeros(n, dtype=bool)
+        remaining = np.arange(n - 1, -1, -1)  # reversed: a constant cost gives the identity
+        left = n
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            rows_seen[i] = True
+            rem = remaining[:left]
+            r = min_val + cost[i, rem] - u[i] - v[rem]
+            better = r < spc[rem]
+            path[rem[better]] = i
+            spc[rem[better]] = r[better]
+            s = spc[rem]
+            tied = s == s.min()
+            free = np.flatnonzero(tied & (row4col[rem] < 0))
+            index = free[-1] if free.size else np.flatnonzero(tied)[0]
+            j = rem[index]
+            min_val = s[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            left -= 1
+            remaining[index] = remaining[left]
+        u[cur] += min_val
+        rows_seen[cur] = False
+        u[rows_seen] += min_val - spc[col4row[rows_seen]]
+        v[cols_seen] -= min_val - spc[cols_seen]
+        j = sink
+        while True:  # augment along the path back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def score_recovery(w, h, w_true, h_true):
     """Score learned factors against the truth, invariant to component
     order and positive per-component rescaling.
@@ -180,10 +245,6 @@ def score_recovery(w, h, w_true, h_true):
     normalized w columns, found by exact assignment; the Frobenius
     distances of the reordered, normalized factors are returned.
     """
-    # Imported here: scipy takes longer to load than the rest of the
-    # package, and only scoring needs it.
-    from scipy.optimize import linear_sum_assignment
-
     w = as_matrix(w, "w")
     h = as_matrix(h, "h")
     w_true = as_matrix(w_true, "w_true")
@@ -198,9 +259,12 @@ def score_recovery(w, h, w_true, h_true):
     wrn = _normalize_columns(w_true)
     hn = _normalize_columns(h.T).T
     hrn = _normalize_columns(h_true.T).T
-    # cost[j, i] = distance from truth component j to learned component i
-    cost = np.linalg.norm(wrn.T[:, :, None] - wn[None, :, :], axis=1)
-    _, perm = linear_sum_assignment(cost)
+    # cost[j, i] = distance from truth component j to learned component i,
+    # one truth column at a time so no k x D x k temporary is built
+    cost = np.empty((wn.shape[1], wn.shape[1]))
+    for j in range(wn.shape[1]):
+        cost[j] = np.linalg.norm(wrn[:, [j]] - wn, axis=0)
+    perm = _assign(cost)
     dist_w = float(np.linalg.norm(wn[:, perm] - wrn))
     dist_h = float(np.linalg.norm(hn[perm, :] - hrn))
     return RecoveryScore(dist_w=dist_w, dist_h=dist_h, permutation=tuple(int(i) for i in perm))

@@ -2,12 +2,14 @@
 config records.
 
 Matrices are 2-D float64 numpy arrays throughout the package. The
-validators here (``as_matrix`` and ``Record``) run only where data
-enters; the prox maps are step kernels that trust theirs.
+validators here (``as_matrix``, ``require_allocatable`` and ``Record``)
+run only where data enters; the prox maps are step kernels that trust
+theirs.
 """
 
 import math
 import numbers
+import os
 import re
 from collections.abc import Mapping
 from dataclasses import MISSING, fields
@@ -32,6 +34,22 @@ def as_matrix(a, name="matrix"):
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def require_allocatable(label, rows, cols):
+    """Raise ValueError if a rows x cols float64 matrix would not fit in
+    physical memory. *rows* and *cols* are Python ints, multiplied exactly,
+    so the check holds for any size and runs before numpy allocates."""
+    need = 8 * rows * cols
+    try:
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return
+    if need > limit:
+        raise ValueError(
+            f"{label} would be {rows}x{cols}: {need} bytes of float64, "
+            f"more than the {limit} bytes of physical memory"
+        )
 
 
 def _key(f):

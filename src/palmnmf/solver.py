@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import Record, as_matrix, nonneg_project, soft_threshold_nonneg
+from .linalg import Record, as_matrix, nonneg_project, require_allocatable, soft_threshold_nonneg
 from .objective import (
     LIPSCHITZ_FLOOR,
     evaluate,
@@ -82,11 +82,14 @@ def initialize(v, config):
     """Draw initial factors with i.i.d. entries uniform on [0, s].
 
     The scale s = sqrt(mean(v) / k) puts mean(w0 @ h0) on the order of
-    mean(v). Deterministic given config.seed.
+    mean(v). Deterministic given config.seed. A k whose factors would not
+    fit in physical memory is a ValueError.
     """
     v = as_matrix(v, "v")
     if (v < 0).any():
         raise DomainError("v must be nonnegative")
+    require_allocatable("w (rows of v x k)", v.shape[0], config.k)
+    require_allocatable("h (k x columns of v)", config.k, v.shape[1])
     scale = math.sqrt(v.mean() / config.k)
     rng = np.random.default_rng(config.seed)
     w0 = rng.uniform(0.0, scale, size=(v.shape[0], config.k))

@@ -4,6 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 import palmnmf.benchmark as benchmark
 from palmnmf import (
@@ -166,6 +170,24 @@ class TestGenerate:
         np.testing.assert_array_equal(h_r, gen_smooth_rows(3, 25, 41))
         np.testing.assert_array_equal(v, make_v(w_r, h_r, 0.2, "max_zero", 42))
 
+    @pytest.mark.parametrize(
+        "d, k, n, named",
+        [
+            (10**8, 2, 10**8, "v (d x n) would be 100000000x100000000"),
+            (1, 10**18, 1, "w_true (d x k) would be 1x1000000000000000000"),
+            (1, 10**7, 10**7, "h_true (k x n) would be 10000000x10000000"),
+        ],
+        ids=["d-n", "d-k", "k-n"],
+    )
+    def test_refuses_dimensions_beyond_memory(self, d, k, n, named):
+        # Sizes far beyond any machine's memory: the spec is a valid record,
+        # and generating it fails before any of its matrices is drawn.
+        spec = SyntheticSpec(d=d, k=k, n=n, sigma=0.1)
+        for make in (benchmark.ground_truth, generate):
+            with pytest.raises(ValueError, match=r"physical memory") as info:
+                make(spec)
+            assert named in str(info.value)
+
     def test_default_sigma_hand_value(self):
         w_r = np.array([[1.0, 2.0]])
         h_r = np.array([[3.0], [4.0]])
@@ -237,6 +259,40 @@ class TestScoreRecovery:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             score_recovery(np.ones((4, 2)), np.ones((2, 5)), np.ones((4, 3)), np.ones((3, 5)))
+
+    def test_cost_matrix_matches_broadcast_expression(self, monkeypatch):
+        # The cost is built one truth column at a time; it must equal, bit
+        # for bit, the k x D x k broadcast it replaces.
+        seen = []
+        monkeypatch.setattr(benchmark, "_assign", lambda cost: seen.append(cost.copy()) or np.arange(len(cost)))
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            d, k = int(rng.integers(1, 3000)), int(rng.integers(1, 30))
+            w, w_true = rng.uniform(0, 1, (d, k)), rng.uniform(0, 1, (d, k))
+            h = np.ones((k, 3))
+            score_recovery(w, h, w_true, h)
+            wn, wrn = benchmark._normalize_columns(w), benchmark._normalize_columns(w_true)
+            expected = np.linalg.norm(wrn.T[:, :, None] - wn[None, :, :], axis=1)
+            assert seen[-1].tobytes() == expected.tobytes()
+
+
+square_costs = st.integers(1, 12).flatmap(
+    lambda n: st.one_of(
+        arrays(np.float64, (n, n), elements=st.floats(-1e6, 1e6)),
+        arrays(np.float64, (n, n), elements=st.integers(0, 2).map(float)),
+        st.floats(-1e6, 1e6).map(lambda c: np.full((n, n), c)),
+    )
+)
+
+
+class TestAssign:
+    @settings(max_examples=400, deadline=None)
+    @given(square_costs)
+    def test_same_permutation_as_scipy(self, cost):
+        # Real-valued, tie-heavy small-integer and constant costs: the port
+        # keeps scipy's scan order and tie rule, so even among several
+        # optimal matchings it returns the one scipy returns.
+        np.testing.assert_array_equal(benchmark._assign(cost), linear_sum_assignment(cost)[1])
 
 
 class TestVariants:

@@ -326,12 +326,13 @@ def usage_error(args, cli_env):
         ({"variants_file": b'[{"eta": "\xff"}]'}, "variants.json: 'utf-8' codec can't decode"),
         ({"variants": '[{"eta": %d}]' % 10**400}, "eta must be a finite number"),
         ({"spec": {"d": 6, "k": 2, "n": 6, "sigma": 10**400}}, "sigma must be a finite number"),
+        ({"spec": {"d": 10**8, "k": 2, "n": 10**8, "sigma": 0.1}}, "v (d x n) would be 100000000x100000000"),
     ],
     ids=[
         "variants-ints", "variants-str-weight", "spec-no-d", "spec-str-d", "spec-list", "spec-str-k",
         "variants-misspelt-key", "spec-misspelt-key", "spec-truncated", "spec-bad-utf8", "spec-too-deep",
         "variants-truncated", "variants-file-truncated", "variants-file-bad-utf8",
-        "variants-huge-int-weight", "spec-huge-int-sigma",
+        "variants-huge-int-weight", "spec-huge-int-sigma", "spec-beyond-memory",
     ],
 )
 def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
@@ -348,6 +349,23 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
         path.write_bytes(value if isinstance(value, bytes) else json.dumps(value).encode())
         args += ["--spec" if kind == "spec" else "--variants", str(path)]
     assert named in usage_error(args, cli_env)
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["factorize", "--input", "{input}", "--k", str(10**18)], "w (rows of v x k) would be 6x%d" % 10**18),
+        (["factorize", "--input", "{input}", "--k", str(10**400)], "w (rows of v x k) would be 6x%d" % 10**400),
+        (["synth", "--d", str(10**8), "--k", "2", "--n", str(10**8)], "v (d x n) would be 100000000x100000000"),
+    ],
+    ids=["factorize-k", "factorize-400-digit-k", "synth-d-n"],
+)
+def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, cli_env):
+    # Sizes far beyond any machine's memory, refused before numpy allocates.
+    out = tmp_path / "o"
+    args = [a.format(input=small_input) for a in args] + ["--out", str(out)]
+    assert named in usage_error(args, cli_env)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--gamma1", "1e999")])
@@ -438,8 +456,7 @@ class TestTopLevel:
         assert (tmp_path / "d" / "V.csv").exists()
 
     def test_import_leaves_scipy_unloaded(self, cli_env):
-        # scipy is loaded by the first score_recovery call, so synth and
-        # factorize never pay for its import.
+        # The package does not use scipy, so importing it must not load it.
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, palmnmf.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
@@ -447,3 +464,24 @@ class TestTopLevel:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_commands_leave_scipy_unloaded(self, tmp_path, cli_env):
+        # score_recovery has its own exact assignment, so no command,
+        # scoring ones included, pays for importing scipy.
+        script = """
+import sys
+from palmnmf.cli import main
+d, o = sys.argv[1] + "/d", sys.argv[1] + "/o"
+common = ["--max-iter", "3", "--out"]
+assert main(["synth", "--d", "6", "--k", "2", "--n", "8", "--seed", "1", "--out", d]) == 0
+assert main(["factorize", "--input", d + "/V.csv", "--k", "2", *common, o]) == 0
+assert main(["score", "--w", o + "/W.csv", "--h", o + "/H.csv",
+             "--w-true", d + "/W_true.csv", "--h-true", d + "/H_true.csv"]) == 0
+assert main(["bench", "--spec", d + "/spec.json", "--repeats", "1", *common, sys.argv[1] + "/b"]) == 0
+print([m for m in sys.modules if m.split(".")[0] == "scipy"], file=sys.stderr)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=cli_env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.strip() == "[]"

@@ -102,6 +102,13 @@ class TestInitialize:
         w, h = initialize(np.zeros((3, 4)), SolverConfig(k=2, seed=1))
         assert not w.any() and not h.any()
 
+    @pytest.mark.parametrize("k", [10**18, 10**400], ids=["exabytes", "400-digit"])
+    def test_rejects_k_beyond_memory(self, k):
+        # Sizes far beyond any machine's memory: the check fires before
+        # numpy is asked to allocate anything.
+        with pytest.raises(ValueError, match=r"w \(rows of v x k\) would be 3x%d: " % k):
+            initialize(np.ones((3, 4)), SolverConfig(k=k))
+
 
 class TestPalmStep:
     def test_matches_manual_two_stage_update(self):

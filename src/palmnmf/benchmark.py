@@ -8,7 +8,7 @@ initializations.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,28 +31,13 @@ class SyntheticSpec(Record):
     seed      -- base seed; w, h, and noise use seed, seed+1, seed+2
     """
 
-    d: int
-    k: int
-    n: int
-    sigma: float
-    w_density: float = 1.0
-    clip_mode: str = "max_zero"
-    seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.d < 1 or self.k < 1 or self.n < 1:
-            raise ValueError(
-                f"d, k, n must be >= 1, got d={self.d}, k={self.k}, n={self.n}"
-            )
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not 0 < self.w_density <= 1:
-            raise ValueError(f"w_density must be in (0, 1], got {self.w_density}")
-        if self.clip_mode not in CLIP_MODES:
-            raise ValueError(f"clip_mode must be one of {CLIP_MODES}, got {self.clip_mode!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    d: int = field(metadata={"ge": 1})
+    k: int = field(metadata={"ge": 1})
+    n: int = field(metadata={"ge": 1})
+    sigma: float = field(metadata={"ge": 0})
+    w_density: float = field(default=1.0, metadata={"gt": 0, "le": 1})
+    clip_mode: str = field(default="max_zero", metadata={"in": CLIP_MODES})
+    seed: int = field(default=0, metadata={"ge": 0})
 
 
 def gen_smooth_rows(k, n, seed):

@@ -12,9 +12,9 @@ and only ``--clip`` spells its values differently (``max-zero``). Such a
 flag is unset unless given: the record is built by the same ``from_dict``
 that reads ``--spec`` and ``--variants``, so it supplies the default.
 
-Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or validation
-error. stdout carries only the documented JSON summaries; everything
-else goes to stderr.
+Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
+usage or validation error. stdout carries only the documented JSON
+summaries; everything else goes to stderr.
 """
 
 import argparse
@@ -270,7 +270,7 @@ def main(argv=None):
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

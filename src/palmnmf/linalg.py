@@ -9,6 +9,7 @@ theirs.
 
 import math
 import numbers
+import operator
 import os
 import re
 from collections.abc import Mapping
@@ -21,6 +22,14 @@ _FIELD_TYPES = {
     int: (numbers.Integral, "an integer"),
     float: (numbers.Real, "a finite number"),
     str: (str, "a string"),
+}
+
+# Bound name in field metadata -> its test and its operator in messages.
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "in": (lambda value, allowed: value in allowed, "one of"),
 }
 
 
@@ -64,17 +73,20 @@ def _finite(x):
 
 
 class Record:
-    """Base of the frozen config dataclasses: field types and the JSON codec.
+    """Base of the frozen config dataclasses: field types and ranges, and
+    the JSON codec.
 
     Each field is one JSON key, its name unless set by
-    ``field(metadata={"key": ...})``. ``__post_init__`` raises ValueError
-    unless every field annotated ``int`` is an integer, every field
-    annotated ``float`` a finite real number (bools are neither; nor are
-    NaN, +-inf and integers beyond the float range), and every field
-    annotated ``str`` a string; subclasses call it first, then check
-    ranges. ``from_dict`` takes each missing key's default from the
-    dataclass and rejects a non-mapping, a missing required key and an
-    unknown key with ValueError.
+    ``field(metadata={"key": ...})``; the same metadata may bound it with
+    ``"ge"``, ``"gt"`` or ``"le"`` and a number, or ``"in"`` and a tuple.
+    ``__post_init__`` raises ValueError unless every field annotated
+    ``int`` is an integer, every field annotated ``float`` a finite real
+    number (bools are neither; nor are NaN, +-inf and integers beyond the
+    float range), and every field annotated ``str`` a string; then it
+    checks the bounds. Both passes go in field order, types first, and
+    subclasses check nothing themselves. ``from_dict`` takes each missing
+    key's default from the dataclass and rejects a non-mapping, a missing
+    required key and an unknown key with ValueError.
     """
 
     def __post_init__(self):
@@ -84,6 +96,13 @@ class Record:
                 value = getattr(self, f.name)
                 if isinstance(value, bool) or not isinstance(value, kind) or (f.type is float and not _finite(value)):
                     raise ValueError(f"{_key(f)} must be {noun}, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for name, bound in f.metadata.items():
+                if name != "key":
+                    holds, op = _BOUNDS[name]
+                    if not holds(value, bound):
+                        raise ValueError(f"{_key(f)} must be {op} {bound!r}, got {value!r}")
 
     def to_dict(self):
         """One key per field, in field order."""

@@ -37,16 +37,10 @@ class ObjectiveParams(Record):
     beta_h -- ridge weight on h (scale control)
     """
 
-    lam: float = field(default=0.0, metadata={"key": "lambda"})
-    eta: float = 0.0
-    beta_w: float = 0.1
-    beta_h: float = 0.1
-
-    def __post_init__(self):
-        super().__post_init__()
-        for key, value in self.to_dict().items():
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
+    lam: float = field(default=0.0, metadata={"key": "lambda", "ge": 0})
+    eta: float = field(default=0.0, metadata={"ge": 0})
+    beta_w: float = field(default=0.1, metadata={"ge": 0})
+    beta_h: float = field(default=0.1, metadata={"ge": 0})
 
 
 def evaluate(v, w, h, params):

@@ -11,7 +11,7 @@ descent of the objective.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,27 +39,12 @@ class SolverConfig(Record):
     seed     -- RNG seed for initialization
     """
 
-    k: int
-    gamma1: float = 1.1
-    gamma2: float = 1.1
-    max_iter: int = 5000
-    tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.gamma1 > 1:
-            raise ValueError(f"gamma1 must be > 1, got {self.gamma1}")
-        if not self.gamma2 > 1:
-            raise ValueError(f"gamma2 must be > 1, got {self.gamma2}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    k: int = field(metadata={"ge": 1})
+    gamma1: float = field(default=1.1, metadata={"gt": 1})
+    gamma2: float = field(default=1.1, metadata={"gt": 1})
+    max_iter: int = field(default=5000, metadata={"ge": 1})
+    tol: float = field(default=1e-6, metadata={"gt": 0})
+    seed: int = field(default=0, metadata={"ge": 0})
 
 
 @dataclass
@@ -82,14 +67,16 @@ def initialize(v, config):
     """Draw initial factors with i.i.d. entries uniform on [0, s].
 
     The scale s = sqrt(mean(v) / k) puts mean(w0 @ h0) on the order of
-    mean(v). Deterministic given config.seed. A k whose factors would not
-    fit in physical memory is a ValueError.
+    mean(v). Deterministic given config.seed. A k whose factors, or whose
+    k x k Gram matrices in the step moduli, would not fit in physical
+    memory is a ValueError.
     """
     v = as_matrix(v, "v")
     if (v < 0).any():
         raise DomainError("v must be nonnegative")
     require_allocatable("w (rows of v x k)", v.shape[0], config.k)
     require_allocatable("h (k x columns of v)", config.k, v.shape[1])
+    require_allocatable("the Gram h h^T (k x k)", config.k, config.k)
     scale = math.sqrt(v.mean() / config.k)
     rng = np.random.default_rng(config.seed)
     w0 = rng.uniform(0.0, scale, size=(v.shape[0], config.k))

@@ -98,6 +98,19 @@ class TestFactorize:
         assert rc == 1
         assert "iteration 3" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_1(self, small_input, tmp_path, capsys, monkeypatch):
+        # Raised, not provoked: whether a huge allocation fails at once
+        # depends on the machine's overcommit policy.
+        def out_of_memory(v, params, config):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 99999)")
+
+        monkeypatch.setattr(cli, "solve", out_of_memory)
+        out = tmp_path / "o"
+        rc = main(["factorize", "--input", str(small_input), "--k", "2", "--eta", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array with shape (100000, 99999)\n"
+        assert not out.exists()
+
     def test_reruns_byte_identical(self, small_input, tmp_path):
         args = ["factorize", "--input", str(small_input), "--k", "3", "--lambda", "0.1", "--max-iter", "60"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -141,8 +154,8 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--w-density", "0"], "w_density must be in (0, 1], got 0.0"),
-            (["--d", "0"], "d, k, n must be >= 1, got d=0, k=5, n=200"),
+            (["--w-density", "0"], "w_density must be > 0, got 0.0"),
+            (["--d", "0"], "d must be >= 1, got 0"),
             (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=["w-density", "d", "seed"],
@@ -357,8 +370,9 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
         (["factorize", "--input", "{input}", "--k", str(10**18)], "w (rows of v x k) would be 6x%d" % 10**18),
         (["factorize", "--input", "{input}", "--k", str(10**400)], "w (rows of v x k) would be 6x%d" % 10**400),
         (["synth", "--d", str(10**8), "--k", "2", "--n", str(10**8)], "v (d x n) would be 100000000x100000000"),
+        (["factorize", "--input", "{input}", "--k", str(10**7)], "the Gram h h^T (k x k) would be 10000000x10000000"),
     ],
-    ids=["factorize-k", "factorize-400-digit-k", "synth-d-n"],
+    ids=["factorize-k", "factorize-400-digit-k", "synth-d-n", "factorize-k-gram"],
 )
 def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, cli_env):
     # Sizes far beyond any machine's memory, refused before numpy allocates.

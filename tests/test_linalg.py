@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths under test: the
 difference operator is checked against explicit column differences and
 its Gram structure, and the thresholding map via 1-D grid search on its
 defining objective. The config records' codec is checked by round trips
-of drawn valid records through JSON text.
+of drawn valid records through JSON text, and their declared bounds by a
+hand-written table of edge values and messages.
 """
 
 import json
@@ -146,3 +147,66 @@ class TestRecord:
         key = data.draw(st.sampled_from(sorted(by_key)))
         with pytest.raises(ValueError, match=f"^{key} must be a finite number, got "):
             replace(record, **{by_key[key].name: bad})
+
+    # One valid record per class; each case below changes one field of it.
+    BASE = {
+        SolverConfig: SolverConfig(k=1),
+        ObjectiveParams: ObjectiveParams(),
+        SyntheticSpec: SyntheticSpec(d=1, k=1, n=1, sigma=0.0),
+    }
+
+    @pytest.mark.parametrize(
+        "cls, name, bad, message",
+        [
+            (SolverConfig, "k", 0, "k must be >= 1, got 0"),
+            (SolverConfig, "gamma1", 1.0, "gamma1 must be > 1, got 1.0"),
+            (SolverConfig, "gamma2", 1, "gamma2 must be > 1, got 1"),
+            (SolverConfig, "max_iter", 0, "max_iter must be >= 1, got 0"),
+            (SolverConfig, "tol", 0.0, "tol must be > 0, got 0.0"),
+            (SolverConfig, "seed", -1, "seed must be >= 0, got -1"),
+            (ObjectiveParams, "lam", -0.5, "lambda must be >= 0, got -0.5"),
+            (ObjectiveParams, "eta", -1e-300, "eta must be >= 0, got -1e-300"),
+            (ObjectiveParams, "beta_w", -1, "beta_w must be >= 0, got -1"),
+            (ObjectiveParams, "beta_h", -2.0, "beta_h must be >= 0, got -2.0"),
+            (SyntheticSpec, "d", 0, "d must be >= 1, got 0"),
+            (SyntheticSpec, "k", -3, "k must be >= 1, got -3"),
+            (SyntheticSpec, "n", 0, "n must be >= 1, got 0"),
+            (SyntheticSpec, "sigma", -0.1, "sigma must be >= 0, got -0.1"),
+            (SyntheticSpec, "w_density", 0.0, "w_density must be > 0, got 0.0"),
+            (SyntheticSpec, "w_density", 1.5, "w_density must be <= 1, got 1.5"),
+            (SyntheticSpec, "clip_mode", "clamp", "clip_mode must be one of ('max_zero', 'absolute'), got 'clamp'"),
+            (SyntheticSpec, "seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_value_past_bound_has_one_message(self, cls, name, bad, message):
+        with pytest.raises(ValueError) as info:
+            replace(self.BASE[cls], **{name: bad})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cls, name, edge",
+        [
+            (SolverConfig, "k", 1),
+            (SolverConfig, "max_iter", 1),
+            (SolverConfig, "seed", 0),
+            (ObjectiveParams, "lam", 0.0),
+            (ObjectiveParams, "eta", 0),
+            (ObjectiveParams, "beta_w", 0.0),
+            (ObjectiveParams, "beta_h", 0.0),
+            (SyntheticSpec, "d", 1),
+            (SyntheticSpec, "k", 1),
+            (SyntheticSpec, "n", 1),
+            (SyntheticSpec, "sigma", 0.0),
+            (SyntheticSpec, "w_density", 1.0),
+            (SyntheticSpec, "clip_mode", "max_zero"),
+            (SyntheticSpec, "clip_mode", "absolute"),
+            (SyntheticSpec, "seed", 0),
+        ],
+    )
+    def test_value_on_inclusive_bound_is_accepted(self, cls, name, edge):
+        assert getattr(replace(self.BASE[cls], **{name: edge}), name) == edge
+
+    def test_type_errors_come_before_bound_errors(self):
+        # k is out of range and comes first, but gamma1's type is checked first.
+        with pytest.raises(ValueError, match=r"^gamma1 must be a finite number, got 'a'$"):
+            SolverConfig(k=0, gamma1="a")

@@ -102,11 +102,20 @@ class TestInitialize:
         w, h = initialize(np.zeros((3, 4)), SolverConfig(k=2, seed=1))
         assert not w.any() and not h.any()
 
-    @pytest.mark.parametrize("k", [10**18, 10**400], ids=["exabytes", "400-digit"])
-    def test_rejects_k_beyond_memory(self, k):
+    @pytest.mark.parametrize(
+        "k, named",
+        [
+            (10**18, r"w \(rows of v x k\) would be 3x%d: " % 10**18),
+            (10**400, r"w \(rows of v x k\) would be 3x%d: " % 10**400),
+            # Both factors fit; the k x k Gram of the step moduli does not.
+            (10**7, r"the Gram h h\^T \(k x k\) would be 10000000x10000000: "),
+        ],
+        ids=["exabytes", "400-digit", "gram"],
+    )
+    def test_rejects_k_beyond_memory(self, k, named):
         # Sizes far beyond any machine's memory: the check fires before
         # numpy is asked to allocate anything.
-        with pytest.raises(ValueError, match=r"w \(rows of v x k\) would be 3x%d: " % k):
+        with pytest.raises(ValueError, match=named):
             initialize(np.ones((3, 4)), SolverConfig(k=k))
 
 

@@ -34,7 +34,7 @@ from .benchmark import (
     score_recovery,
 )
 from .errors import NumericError
-from .fileio import load_json, load_matrix, parse_json, save_json, save_matrix
+from .fileio import load_json, load_matrix, parse_json, save_json, save_matrix, save_text
 from .objective import ObjectiveParams
 from .solver import SolverConfig, solve
 
@@ -189,7 +189,7 @@ def cmd_bench(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
+    save_text("\n".join(csv_lines) + "\n", out / "comparison.csv")
     table = {"spec": spec.to_dict(), "config": config.to_dict(), "repeats": args.repeats, "variants": table_variants}
     save_json(table, out / "comparison.json")
     print(json.dumps(summary))
@@ -270,8 +270,11 @@ def main(argv=None):
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MemoryError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a failed allocation outside numpy has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

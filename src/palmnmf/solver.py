@@ -113,6 +113,8 @@ def solve(v, params, config):
 
     Runs ``palm_step`` from a fresh initialization until the joint relative
     step over the (w, h) pair drops below config.tol or max_iter is reached.
+    With params.eta > 0, a v whose N x (N-1) difference operator would not
+    fit in physical memory is a ValueError, raised before any work starts.
 
     Parameters
     ----------
@@ -130,6 +132,9 @@ def solve(v, params, config):
         convergence flag.
     """
     v = as_matrix(v, "v")
+    if params.eta > 0:  # evaluate and grad_h build it as a dense matrix
+        n = v.shape[1]
+        require_allocatable("the difference operator (columns of v x columns of v - 1)", n, n - 1)
     w, h = initialize(v, config)
     with np.errstate(over="ignore"):
         trace = [evaluate(v, w, h, params)]

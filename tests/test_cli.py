@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: flags, files, exit codes, determinism."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -109,6 +111,18 @@ class TestFactorize:
         rc = main(["factorize", "--input", str(small_input), "--k", "2", "--eta", "1", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array with shape (100000, 99999)\n"
+        assert not out.exists()
+
+    def test_out_of_memory_without_message_exits_1(self, small_input, tmp_path, capsys, monkeypatch):
+        # What Python raises when an allocation outside numpy fails.
+        def out_of_memory(v, params, config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "solve", out_of_memory)
+        out = tmp_path / "o"
+        rc = main(["factorize", "--input", str(small_input), "--k", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert not out.exists()
 
     def test_reruns_byte_identical(self, small_input, tmp_path):
@@ -371,14 +385,24 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
         (["factorize", "--input", "{input}", "--k", str(10**400)], "w (rows of v x k) would be 6x%d" % 10**400),
         (["synth", "--d", str(10**8), "--k", "2", "--n", str(10**8)], "v (d x n) would be 100000000x100000000"),
         (["factorize", "--input", "{input}", "--k", str(10**7)], "the Gram h h^T (k x k) would be 10000000x10000000"),
+        (
+            ["factorize", "--input", "{wide}", "--k", "1", "--eta", "1"],
+            "the difference operator (columns of v x columns of v - 1) would be {n}x{n_1}",
+        ),
     ],
-    ids=["factorize-k", "factorize-400-digit-k", "synth-d-n", "factorize-k-gram"],
+    ids=["factorize-k", "factorize-400-digit-k", "synth-d-n", "factorize-k-gram", "factorize-eta-wide"],
 )
 def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, cli_env):
     # Sizes far beyond any machine's memory, refused before numpy allocates.
+    # {wide} is a one-row V with n = isqrt(physical memory / 8) + 2
+    # columns, whose dense n x (n-1) difference operator does not fit.
+    n = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8) + 2
+    wide = tmp_path / "wide.csv"
+    if "{wide}" in args:
+        wide.write_text(",".join(["1"] * n) + "\n")
     out = tmp_path / "o"
-    args = [a.format(input=small_input) for a in args] + ["--out", str(out)]
-    assert named in usage_error(args, cli_env)
+    args = [a.format(input=small_input, wide=wide) for a in args] + ["--out", str(out)]
+    assert named.format(n=n, n_1=n - 1) in usage_error(args, cli_env)
     assert not out.exists()
 
 

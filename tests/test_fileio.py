@@ -1,6 +1,7 @@
 """CSV matrix format and JSON file round trips."""
 
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from palmnmf import (
     ParseError,
+    fileio,
     load_matrix,
     save_matrix,
 )
@@ -232,6 +235,136 @@ class TestSaveMatrix:
         save_matrix(m, f)
         assert f.read_bytes() == save_matrix_oracle(m).encode()
         assert load_matrix(f).tobytes() == m.tobytes()
+
+
+# Entries of any finite bit pattern; entries that the encoder leaves to
+# '%.17g' itself (nonzero with |x| < 1e-4 or |x| >= 1e17); and entries
+# drawn by hypothesis's float strategy, which favours edge values.
+any_finite = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+formatted_by_python = st.one_of(
+    st.floats(min_value=1e17, allow_infinity=False),
+    st.floats(max_value=-1e17, allow_infinity=False),
+    st.floats(min_value=-1e-4, max_value=1e-4, exclude_min=True, exclude_max=True).filter(bool),
+)
+matrix_entries = st.sampled_from([any_finite, formatted_by_python, st.floats(allow_nan=False, allow_infinity=False)])
+
+
+def powers_of_ten_and_neighbours():
+    for e in range(-6, 19):
+        p = float(f"1e{e}")
+        yield from (np.nextafter(p, 0), p, np.nextafter(p, np.inf))
+
+
+# Values where a wrong exponent, a wrong rounding or a wrong layout shows.
+# 1 + j * 2**-17 and 100 + j * 2**-15 are exact halfway cases for odd j;
+# 100 + j * 2**-12 has 15 significant digits, so it needs no rounding.
+BATTERIES = {
+    "powers-of-ten": list(powers_of_ten_and_neighbours()),
+    "ties-at-one": [1 + j * 2.0**-17 for j in range(4096)],
+    "hundred-plus-2^-12": [100 + j * 2.0**-12 for j in range(4096)],
+    "ties-at-hundred": [100 + j * 2.0**-15 for j in range(4096)],
+    "domain-edges": [9.9999999999999995e-5, 1e-4, 99999999999999984.0, 1e17, 0.0, -0.0],
+    "integers-around-2^53": [float(2**53 + k) for k in range(-64, 65)] + [float(10**16 + k) for k in range(-64, 65)],
+}
+
+
+class TestEncoder:
+    """save_matrix's bytes against save_matrix_oracle, the per-value
+    '%.17g' join it replaces."""
+
+    @staticmethod
+    def assert_matches_oracle(m, path):
+        save_matrix(m, path)
+        assert path.read_bytes() == save_matrix_oracle(m).encode()
+
+    @given(
+        m=st.tuples(st.integers(1, 6), st.integers(1, 8), matrix_entries).flatmap(
+            lambda t: arrays(np.float64, t[:2], elements=t[2])
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_matrix(self, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_matches_oracle(m, Path(tmp) / "m.csv")
+
+    @pytest.mark.parametrize("battery", BATTERIES.values(), ids=list(BATTERIES))
+    def test_battery(self, tmp_path, battery):
+        values = np.array(battery)
+        for m in (values[None, :], -values[:, None]):
+            self.assert_matches_oracle(m, tmp_path / "m.csv")
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (1, 2 * fileio._CHUNK + 3),
+            (2 * fileio._CHUNK + 3, 1),
+            (1, fileio._CHUNK - 1),
+            (2, fileio._CHUNK // 2),
+            (fileio._CHUNK + 1, 1),
+            (3, (fileio._CHUNK - 1) // 3),
+        ],
+        ids=["wide-row", "tall-column", "chunk-1", "chunk", "chunk+1", "three-rows-chunk-1"],
+    )
+    def test_shapes_across_chunks(self, tmp_path, rows, cols):
+        # Magnitudes from 1e-8 to 1e20, either sign, and zeros: both the
+        # numpy text and '%.17g' on each side of each chunk boundary.
+        rng = np.random.default_rng(rows * 7 + cols)
+        m = rng.choice([-1.0, 0.0, 1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-8, 20, (rows, cols))
+        self.assert_matches_oracle(m, tmp_path / "m.csv")
+
+
+class TestReplacingWrites:
+    """A write that fails leaves the old target, or none, and no
+    temporary file."""
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["no-target", "old-target"])
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_save_matrix_failing_mid_write(self, tmp_path, monkeypatch, old, exc):
+        target = tmp_path / "m.csv"
+        if old is not None:
+            target.write_bytes(old)
+        encode = fileio._encode
+        calls = []
+
+        def encode_then_fail(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise exc("interrupted")
+            return encode(*args)
+
+        monkeypatch.setattr(fileio, "_encode", encode_then_fail)
+        with pytest.raises(exc):
+            save_matrix(np.ones((2, fileio._CHUNK)), target)
+        assert len(calls) == 2  # the first chunk was written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["m.csv"])
+        if old is not None:
+            assert target.read_bytes() == old
+
+    def test_save_json_failing_to_replace(self, tmp_path, monkeypatch):
+        target = tmp_path / "a.json"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(fileio.os, "replace", fail)
+        with pytest.raises(OSError, match="no space"):
+            save_json({"x": 1}, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+        assert target.read_text() == "old\n"
+
+    def test_replaces_existing_target(self, tmp_path):
+        target = tmp_path / "m.csv"
+        target.write_text("a much longer old file\n" * 10)
+        save_matrix(np.array([[1.5]]), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+        assert target.read_text() == "1.5\n"
+
+    def test_directory_target(self, tmp_path):
+        (tmp_path / "m.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_matrix(np.array([[1.5]]), tmp_path / "m.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
 class TestSaveJson:

@@ -1,11 +1,13 @@
 """Solver behavior: initialization, step order, descent, stopping, errors."""
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import palmnmf.solver as solver_module
 from palmnmf import (
     DomainError,
     NumericError,
@@ -255,6 +257,21 @@ class TestSolve:
     def test_smoothness_needs_two_columns(self):
         with pytest.raises(ValueError, match="at least 2 columns"):
             solve(np.ones((3, 1)), ObjectiveParams(eta=1.0), SolverConfig(k=1))
+
+    def test_rejects_difference_operator_beyond_memory(self, monkeypatch):
+        # With n = isqrt(physical memory / 8) + 2 columns, the n x (n-1)
+        # float64 operator is larger than physical memory.
+        n = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8) + 2
+        v = np.ones((1, n))
+        assert solve(v, ObjectiveParams(), SolverConfig(k=1, max_iter=1)).iterations == 1
+
+        def no_work(v, config):
+            raise AssertionError("initialize ran")
+
+        monkeypatch.setattr(solver_module, "initialize", no_work)
+        named = rf"the difference operator \(columns of v x columns of v - 1\) would be {n}x{n - 1}: "
+        with pytest.raises(ValueError, match=named):
+            solve(v, ObjectiveParams(eta=1.0), SolverConfig(k=1))
 
     def test_overflow_reports_iteration(self):
         v = np.full((4, 4), 1e300)

@@ -7,7 +7,6 @@ and compares regularization variants across repeated random
 initializations.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +32,7 @@ class SyntheticSpec(Record):
 
     d: int = field(metadata={"ge": 1})
     k: int = field(metadata={"ge": 1})
-    n: int = field(metadata={"ge": 1})
+    n: int = field(metadata={"ge": 2})
     sigma: float = field(metadata={"ge": 0})
     w_density: float = field(default=1.0, metadata={"gt": 0, "le": 1})
     clip_mode: str = field(default="max_zero", metadata={"in": CLIP_MODES})
@@ -46,10 +45,7 @@ def gen_smooth_rows(k, n, seed):
     Bump centers are uniform over the column range, widths uniform in
     [n/20, n/6], amplitudes uniform in [0.5, 2]. Deterministic per seed.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    SyntheticSpec.check(k=k, n=n, seed=seed)
     rng = np.random.default_rng(seed)
     grid = np.arange(n, dtype=np.float64)
     rows = np.zeros((k, n))
@@ -62,19 +58,16 @@ def gen_smooth_rows(k, n, seed):
     return rows
 
 
-def gen_sparse_matrix(d, k, density, seed):
+def gen_sparse_matrix(d, k, w_density, seed):
     """d x k matrix of uniform [0, 1] entries with an exact fraction zeroed.
 
-    Exactly round((1 - density) * d * k) entries, chosen uniformly without
-    replacement, are set to zero. Deterministic per seed.
+    Exactly round((1 - w_density) * d * k) entries, chosen uniformly
+    without replacement, are set to zero. Deterministic per seed.
     """
-    if d < 1 or k < 1:
-        raise ValueError(f"d and k must be >= 1, got d={d}, k={k}")
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+    SyntheticSpec.check(d=d, k=k, w_density=w_density, seed=seed)
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.0, 1.0, size=(d, k))
-    n_zero = round((1.0 - density) * d * k)
+    n_zero = round((1.0 - w_density) * d * k)
     if n_zero:
         idx = rng.choice(d * k, size=n_zero, replace=False)
         m.ravel()[idx] = 0.0
@@ -87,16 +80,13 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
     Adds i.i.d. Gaussian(0, sigma^2) noise, then clamps negatives to zero
     ("max_zero") or takes absolute values ("absolute").
     """
+    SyntheticSpec.check(sigma=sigma, clip_mode=clip_mode, seed=seed)
     w_r = as_matrix(w_r, "w_r")
     h_r = as_matrix(h_r, "h_r")
     if w_r.shape[1] != h_r.shape[0]:
         raise ShapeError(
             f"cannot multiply {w_r.shape[0]}x{w_r.shape[1]} by {h_r.shape[0]}x{h_r.shape[1]}"
         )
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if clip_mode not in CLIP_MODES:
-        raise ValueError(f"clip_mode must be one of {CLIP_MODES}, got {clip_mode!r}")
     noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, sigma, size=(w_r.shape[0], h_r.shape[1]))
     if clip_mode == "max_zero":
         return np.maximum(noisy, 0.0)
@@ -147,16 +137,17 @@ class RecoveryScore:
 
 
 def _normalize_columns(m):
-    # Each column is reduced as a contiguous 1-D array so its norm depends
-    # only on the column's values, not on where the column sits in the
-    # matrix; a permuted copy therefore normalizes bitwise-identically,
-    # which keeps the permutation-invariance of the score exact.
-    out = m.astype(np.float64, copy=True)
-    for j in range(out.shape[1]):
-        col = np.ascontiguousarray(out[:, j])
-        norm = math.sqrt(float(np.sum(col * col)))
-        if norm > 0:
-            out[:, j] = col / norm
+    # Each column is scaled by the power of two that brings its largest |x|
+    # into [0.5, 1): exact, and a nonzero column's sum of squares is then in
+    # [1/4, rows), far from overflow and underflow. It is reduced as a
+    # contiguous row of m.T, so its norm does not depend on where it sits:
+    # a permuted copy normalizes bitwise-identically.
+    t = np.ascontiguousarray(m.T)
+    _, e = np.frexp(np.abs(t).max(axis=1, keepdims=True))
+    t = np.ldexp(t, -e)
+    norm = np.sqrt(np.sum(t * t, axis=1, keepdims=True))
+    out = np.empty_like(m)  # m's memory layout, on which the callers' sums depend
+    np.divide(t, np.where(norm > 0, norm, 1.0), out=out.T)
     return out
 
 
@@ -321,12 +312,15 @@ def run_comparison(spec, variants, config, repeats):
     initialization seeds config.seed, config.seed + 1, ... (the data seed
     stays fixed in ``spec``), and every run is scored against the ground
     truth. Per-run failures (NumericError, ValueError) are recorded in the
-    table instead of raised; any other exception propagates.
+    table instead of raised; any other exception propagates. A config.k
+    other than spec.k is a ValueError, raised before anything is drawn.
 
     Returns a list of VariantResult in the order the variants were given.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if config.k != spec.k:
+        raise ValueError(f"config.k must equal spec.k, got {config.k} and {spec.k}")
     v, w_r, h_r = generate(spec)
     results = []
     for params in variants:

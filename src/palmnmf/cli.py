@@ -139,7 +139,7 @@ def cmd_score(args):
 def _load_variants(value):
     if value is None:
         return default_variants()
-    if value.lstrip().startswith("["):
+    if value.lstrip().startswith(("[", "{")):
         items = parse_json(value, "--variants")
     else:
         items = load_json(value)

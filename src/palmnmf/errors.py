@@ -24,7 +24,7 @@ class ParseError(ValueError):
 class NumericError(RuntimeError):
     """A computation produced non-finite values.
 
-    `iteration` records which solver iteration failed, when applicable.
+    `iteration` is the solver iteration that failed, if any; 0 is the initial point.
     """
 
     def __init__(self, message, iteration=None):

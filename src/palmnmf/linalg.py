@@ -79,30 +79,35 @@ class Record:
     Each field is one JSON key, its name unless set by
     ``field(metadata={"key": ...})``; the same metadata may bound it with
     ``"ge"``, ``"gt"`` or ``"le"`` and a number, or ``"in"`` and a tuple.
-    ``__post_init__`` raises ValueError unless every field annotated
-    ``int`` is an integer, every field annotated ``float`` a finite real
-    number (bools are neither; nor are NaN, +-inf and integers beyond the
-    float range), and every field annotated ``str`` a string; then it
-    checks the bounds. Both passes go in field order, types first, and
-    subclasses check nothing themselves. ``from_dict`` takes each missing
-    key's default from the dataclass and rejects a non-mapping, a missing
-    required key and an unknown key with ValueError.
+    ``check(**values)`` raises ValueError unless each field it is given
+    that is annotated ``int`` is an integer, ``float`` a finite real number
+    (bools are neither; nor are NaN, +-inf and integers beyond the float
+    range), and ``str`` a string; then it checks their bounds. Both passes
+    go in field order, types first. ``__post_init__`` checks every field
+    with it, and subclasses check nothing themselves. ``from_dict`` takes
+    each missing key's default from the dataclass and rejects a
+    non-mapping, a missing required key and an unknown key with ValueError.
     """
 
     def __post_init__(self):
-        for f in fields(self):
+        self.check(**{f.name: getattr(self, f.name) for f in fields(self)})
+
+    @classmethod
+    def check(cls, **values):
+        """Check *values*, given by field name, as the fields they name."""
+        given = [f for f in fields(cls) if f.name in values]
+        for f in given:
             if f.type in _FIELD_TYPES:
                 kind, noun = _FIELD_TYPES[f.type]
-                value = getattr(self, f.name)
+                value = values[f.name]
                 if isinstance(value, bool) or not isinstance(value, kind) or (f.type is float and not _finite(value)):
                     raise ValueError(f"{_key(f)} must be {noun}, got {value!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for f in given:
             for name, bound in f.metadata.items():
                 if name != "key":
                     holds, op = _BOUNDS[name]
-                    if not holds(value, bound):
-                        raise ValueError(f"{_key(f)} must be {op} {bound!r}, got {value!r}")
+                    if not holds(values[f.name], bound):
+                        raise ValueError(f"{_key(f)} must be {op} {bound!r}, got {values[f.name]!r}")
 
     def to_dict(self):
         """One key per field, in field order."""

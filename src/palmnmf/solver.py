@@ -51,9 +51,9 @@ class SolverConfig(Record):
 class FactorizationResult:
     """Outcome of a solve: nonnegative factors plus the objective trace.
 
-    objective_trace[0] is the cost at initialization, so its length is
-    iterations + 1. ``converged`` is True iff the relative-step criterion
-    fired before the iteration budget ran out.
+    objective_trace[k] is the cost after k steps, [0] at the initial point
+    (iteration 0), so its length is iterations + 1. ``converged`` is True
+    iff the relative-step criterion fired before the budget ran out.
     """
 
     w: np.ndarray
@@ -69,7 +69,7 @@ def initialize(v, config):
     The scale s = sqrt(mean(v) / k) puts mean(w0 @ h0) on the order of
     mean(v). Deterministic given config.seed. A k whose factors, or whose
     k x k Gram matrices in the step moduli, would not fit in physical
-    memory is a ValueError.
+    memory is a ValueError; a v whose mean overflows is a NumericError.
     """
     v = as_matrix(v, "v")
     if (v < 0).any():
@@ -77,7 +77,11 @@ def initialize(v, config):
     require_allocatable("w (rows of v x k)", v.shape[0], config.k)
     require_allocatable("h (k x columns of v)", config.k, v.shape[1])
     require_allocatable("the Gram h h^T (k x k)", config.k, config.k)
-    scale = math.sqrt(v.mean() / config.k)
+    with np.errstate(over="ignore"):
+        mean = v.mean()
+    if not math.isfinite(mean):
+        raise NumericError("the mean of v overflows")
+    scale = math.sqrt(mean / config.k)
     rng = np.random.default_rng(config.seed)
     w0 = rng.uniform(0.0, scale, size=(v.shape[0], config.k))
     h0 = rng.uniform(0.0, scale, size=(config.k, v.shape[1]))
@@ -115,6 +119,8 @@ def solve(v, params, config):
     step over the (w, h) pair drops below config.tol or max_iter is reached.
     With params.eta > 0, a v whose N x (N-1) difference operator would not
     fit in physical memory is a ValueError, raised before any work starts.
+    A non-finite objective, the initial one included, is a NumericError
+    that names its iteration (0 for the initial point).
 
     Parameters
     ----------
@@ -136,31 +142,25 @@ def solve(v, params, config):
         n = v.shape[1]
         require_allocatable("the difference operator (columns of v x columns of v - 1)", n, n - 1)
     w, h = initialize(v, config)
-    with np.errstate(over="ignore"):
-        trace = [evaluate(v, w, h, params)]
+    trace = []
     converged = False
-    iterations = 0
-    for k in range(1, config.max_iter + 1):
-        try:
-            w_next, h_next = palm_step(v, w, h, params, config)
-        except NumericError as exc:
-            raise NumericError(str(exc), iteration=k) from exc
-        step = math.sqrt(
-            float(np.sum((w_next - w) ** 2)) + float(np.sum((h_next - h) ** 2))
-        )
-        base = max(
-            math.sqrt(float(np.sum(w * w)) + float(np.sum(h * h))), LIPSCHITZ_FLOOR
-        )
-        w, h = w_next, h_next
+    for k in range(config.max_iter + 1):  # iteration 0 is the initial point
+        if k:
+            try:
+                w_next, h_next = palm_step(v, w, h, params, config)
+            except NumericError as exc:
+                raise NumericError(str(exc), iteration=k) from exc
+            step = math.sqrt(float(np.sum((w_next - w) ** 2)) + float(np.sum((h_next - h) ** 2)))
+            base = max(math.sqrt(float(np.sum(w * w)) + float(np.sum(h * h))), LIPSCHITZ_FLOOR)
+            converged = step / base < config.tol
+            w, h = w_next, h_next
         with np.errstate(over="ignore"):
             value = evaluate(v, w, h, params)
         if not math.isfinite(value):
             raise NumericError("objective became non-finite", iteration=k)
         trace.append(value)
-        iterations = k
-        if step / base < config.tol:
-            converged = True
+        if converged:
             break
     return FactorizationResult(
-        w=w, h=h, objective_trace=trace, iterations=iterations, converged=converged
+        w=w, h=h, objective_trace=trace, iterations=len(trace) - 1, converged=converged
     )

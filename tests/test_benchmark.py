@@ -26,6 +26,7 @@ from palmnmf import (
     score_recovery,
     variant_label,
 )
+from palmnmf.benchmark import CLIP_MODES
 
 
 def normalize_cols(m):
@@ -100,6 +101,19 @@ class TestGenSmoothRows:
         with pytest.raises(ValueError):
             gen_smooth_rows(2, 1, 0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, 1, 0), "n must be >= 2, got 1"),
+            ((2, 10, -1), "seed must be >= 0, got -1"),
+            ((2.0, 10, 0), "k must be an integer, got 2.0"),
+        ],
+    )
+    def test_arguments_checked_as_spec_fields(self, args, message):
+        with pytest.raises(ValueError) as info:
+            gen_smooth_rows(*args)
+        assert str(info.value) == message
+
 
 class TestGenSparseMatrix:
     def test_exact_zero_count(self):
@@ -125,6 +139,20 @@ class TestGenSparseMatrix:
             gen_sparse_matrix(3, 3, 0.0, 0)
         with pytest.raises(ValueError):
             gen_sparse_matrix(3, 3, 1.5, 0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 3, 0.5, 0), "d must be >= 1, got 0"),
+            ((3, 3, 1.5, 0), "w_density must be <= 1, got 1.5"),
+            ((3, 3, float("nan"), 0), "w_density must be a finite number, got nan"),
+            ((3, 3, 0.5, -2), "seed must be >= 0, got -2"),
+        ],
+    )
+    def test_arguments_checked_as_spec_fields(self, args, message):
+        with pytest.raises(ValueError) as info:
+            gen_sparse_matrix(*args)
+        assert str(info.value) == message
 
 
 class TestMakeV:
@@ -161,6 +189,20 @@ class TestMakeV:
         with pytest.raises(ValueError):
             make_v(np.ones((2, 2)), np.ones((2, 2)), 0.1, "clip", 0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1.0, "max_zero", 0), "sigma must be >= 0, got -1.0"),
+            ((float("inf"), "max_zero", 0), "sigma must be a finite number, got inf"),
+            ((0.1, "clip", 0), "clip_mode must be one of ('max_zero', 'absolute'), got 'clip'"),
+            ((0.1, "absolute", -1), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_arguments_checked_as_spec_fields(self, args, message):
+        with pytest.raises(ValueError) as info:
+            make_v(np.ones((2, 2)), np.ones((2, 2)), *args)
+        assert str(info.value) == message
+
 
 class TestGenerate:
     def test_sub_seed_schedule(self):
@@ -174,7 +216,7 @@ class TestGenerate:
         "d, k, n, named",
         [
             (10**8, 2, 10**8, "v (d x n) would be 100000000x100000000"),
-            (1, 10**18, 1, "w_true (d x k) would be 1x1000000000000000000"),
+            (1, 10**18, 2, "w_true (d x k) would be 1x1000000000000000000"),
             (1, 10**7, 10**7, "h_true (k x n) would be 10000000x10000000"),
         ],
         ids=["d-n", "d-k", "k-n"],
@@ -187,6 +229,26 @@ class TestGenerate:
             with pytest.raises(ValueError, match=r"physical memory") as info:
                 make(spec)
             assert named in str(info.value)
+
+    @given(
+        d=st.integers(0, 6),
+        k=st.integers(0, 4),
+        n=st.integers(0, 8),
+        sigma=st.floats(0, 10) | st.floats(-1, allow_nan=False, allow_infinity=False),
+        w_density=st.floats(0, 1) | st.floats(-1, 2),
+        clip_mode=st.sampled_from(CLIP_MODES + ("clamp",)),
+        seed=st.integers(-2, 2**64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_spec_that_constructs_generates(self, d, k, n, sigma, w_density, clip_mode, seed):
+        # The generators check their arguments by the spec's own rules, so
+        # no spec the record admits is refused by them.
+        try:
+            spec = SyntheticSpec(d=d, k=k, n=n, sigma=sigma, w_density=w_density, clip_mode=clip_mode, seed=seed)
+        except ValueError:
+            return
+        v, w_r, h_r = generate(spec)
+        assert v.shape == (d, n) and w_r.shape == (d, k) and h_r.shape == (k, n)
 
     def test_default_sigma_hand_value(self):
         w_r = np.array([[1.0, 2.0]])
@@ -249,6 +311,27 @@ class TestScoreRecovery:
         moved = score_recovery(w[:, perm] * scales, h[perm, :] * rng.uniform(0.3, 7.0, (4, 1)), w_true, h_true)
         assert moved.dist_w == pytest.approx(base.dist_w, abs=1e-12)
         assert moved.dist_h == pytest.approx(base.dist_h, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_power_of_two_rescaling_is_bitwise_exact(self, scale):
+        rng = np.random.default_rng(0)
+        w, h = rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (3, 4))
+        w_true, h_true = rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (3, 4))
+        assert score_recovery(w * scale, h * scale, w_true, h_true) == score_recovery(w, h, w_true, h_true)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_scores_hold_where_squares_overflow_or_underflow(self, scale):
+        # Squared entries of the scaled factors are beyond the float range,
+        # or below its smallest subnormal.
+        rng = np.random.default_rng(0)
+        w, h = rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (3, 4))
+        w_true, h_true = rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (3, 4))
+        base = score_recovery(w, h, w_true, h_true)
+        with np.errstate(all="raise"):
+            moved = score_recovery(w * scale, h * scale, w_true, h_true)
+        assert moved.dist_w == pytest.approx(base.dist_w, abs=1e-12)
+        assert moved.dist_h == pytest.approx(base.dist_h, abs=1e-12)
+        assert moved.permutation == base.permutation
 
     def test_zero_columns_stay_zero(self):
         w = np.zeros((5, 2))
@@ -374,3 +457,11 @@ class TestRunComparison:
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):
             run_comparison(SMALL_SPEC, [ObjectiveParams()], SMALL_CFG, repeats=0)
+
+    def test_rejects_k_other_than_the_specs_before_generating(self, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(benchmark, "generate", no_data)
+        with pytest.raises(ValueError, match=r"^config.k must equal spec.k, got 3 and 2$"):
+            run_comparison(SMALL_SPEC, [ObjectiveParams()], SolverConfig(k=3), repeats=1)

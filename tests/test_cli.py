@@ -354,12 +354,13 @@ def usage_error(args, cli_env):
         ({"variants": '[{"eta": %d}]' % 10**400}, "eta must be a finite number"),
         ({"spec": {"d": 6, "k": 2, "n": 6, "sigma": 10**400}}, "sigma must be a finite number"),
         ({"spec": {"d": 10**8, "k": 2, "n": 10**8, "sigma": 0.1}}, "v (d x n) would be 100000000x100000000"),
+        ({"variants": '{"lambda": 1}'}, "--variants must be a non-empty JSON list of parameter objects"),
     ],
     ids=[
         "variants-ints", "variants-str-weight", "spec-no-d", "spec-str-d", "spec-list", "spec-str-k",
         "variants-misspelt-key", "spec-misspelt-key", "spec-truncated", "spec-bad-utf8", "spec-too-deep",
         "variants-truncated", "variants-file-truncated", "variants-file-bad-utf8",
-        "variants-huge-int-weight", "spec-huge-int-sigma", "spec-beyond-memory",
+        "variants-huge-int-weight", "spec-huge-int-sigma", "spec-beyond-memory", "variants-inline-object",
     ],
 )
 def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
@@ -404,6 +405,43 @@ def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, cli_env)
     args = [a.format(input=small_input, wide=wide) for a in args] + ["--out", str(out)]
     assert named.format(n=n, n_1=n - 1) in usage_error(args, cli_env)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1e308", "error: the mean of v overflows\n"),
+        ("1e154", "error: iteration 0: objective became non-finite\n"),
+    ],
+    ids=["mean-overflows", "initial-objective-overflows"],
+)
+def test_overflow_before_the_first_step_exits_1(entry, message, tmp_path, cli_env):
+    # Every entry of V is finite; the failure comes before the first step.
+    v = tmp_path / "V.csv"
+    v.write_text(f"{entry},{entry}\n{entry},{entry}\n")
+    out = tmp_path / "o"
+    args = ["factorize", "--input", str(v), "--k", "1", "--max-iter", "5", "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env
+    )
+    assert result.returncode == 1
+    assert result.stderr == message
+    assert not out.exists()
+
+
+def test_score_at_huge_scale_prints_nothing_on_stderr(tmp_path, cli_env):
+    rng = np.random.default_rng(0)
+    paths = []
+    for name, shape in (("w", (5, 3)), ("h", (3, 4)), ("w_true", (5, 3)), ("h_true", (3, 4))):
+        paths.append(tmp_path / f"{name}.csv")
+        save_matrix(rng.uniform(1, 2, shape) * 1e200, paths[-1])
+    flags = [a for flag, path in zip(("--w", "--h", "--w-true", "--h-true"), paths) for a in (flag, str(path))]
+    result = subprocess.run(
+        [sys.executable, "-m", "palmnmf.cli", "score", *flags], capture_output=True, text=True, env=cli_env
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert set(json.loads(result.stdout)) == {"dist_w", "dist_h", "permutation"}
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--gamma1", "1e999")])

@@ -126,7 +126,7 @@ records = st.one_of(
         SyntheticSpec,
         d=st.integers(min_value=1),
         k=st.integers(min_value=1),
-        n=st.integers(min_value=1),
+        n=st.integers(min_value=2),
         sigma=reals(0.0),
         w_density=reals(0.0, 1.0, exclude_min=True),
         clip_mode=st.sampled_from(CLIP_MODES),
@@ -152,7 +152,7 @@ class TestRecord:
     BASE = {
         SolverConfig: SolverConfig(k=1),
         ObjectiveParams: ObjectiveParams(),
-        SyntheticSpec: SyntheticSpec(d=1, k=1, n=1, sigma=0.0),
+        SyntheticSpec: SyntheticSpec(d=1, k=1, n=2, sigma=0.0),
     }
 
     @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ class TestRecord:
             (ObjectiveParams, "beta_h", -2.0, "beta_h must be >= 0, got -2.0"),
             (SyntheticSpec, "d", 0, "d must be >= 1, got 0"),
             (SyntheticSpec, "k", -3, "k must be >= 1, got -3"),
-            (SyntheticSpec, "n", 0, "n must be >= 1, got 0"),
+            (SyntheticSpec, "n", 1, "n must be >= 2, got 1"),
             (SyntheticSpec, "sigma", -0.1, "sigma must be >= 0, got -0.1"),
             (SyntheticSpec, "w_density", 0.0, "w_density must be > 0, got 0.0"),
             (SyntheticSpec, "w_density", 1.5, "w_density must be <= 1, got 1.5"),
@@ -195,7 +195,7 @@ class TestRecord:
             (ObjectiveParams, "beta_h", 0.0),
             (SyntheticSpec, "d", 1),
             (SyntheticSpec, "k", 1),
-            (SyntheticSpec, "n", 1),
+            (SyntheticSpec, "n", 2),
             (SyntheticSpec, "sigma", 0.0),
             (SyntheticSpec, "w_density", 1.0),
             (SyntheticSpec, "clip_mode", "max_zero"),

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -99,6 +100,13 @@ class TestInitialize:
     def test_rejects_negative_input(self):
         with pytest.raises(DomainError):
             initialize(np.array([[1.0, -0.5]]), SolverConfig(k=1))
+
+    def test_mean_beyond_float_range_is_numeric_error(self):
+        # Every entry is finite, but their mean overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^the mean of v overflows$"):
+                initialize(np.full((2, 2), 1e308), SolverConfig(k=1))
 
     def test_zero_input_gives_zero_factors(self):
         w, h = initialize(np.zeros((3, 4)), SolverConfig(k=2, seed=1))
@@ -277,8 +285,24 @@ class TestSolve:
         v = np.full((4, 4), 1e300)
         with pytest.raises(NumericError) as exc_info:
             solve(v, ObjectiveParams(), SolverConfig(k=2, max_iter=50))
-        assert exc_info.value.iteration == 1
-        assert "iteration 1" in str(exc_info.value)
+        assert exc_info.value.iteration == 0
+        assert "iteration 0" in str(exc_info.value)
+
+    def test_step_failure_reports_its_iteration(self, monkeypatch):
+        real_step = solver_module.palm_step
+        calls = []
+
+        def fails_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericError("h update produced non-finite values")
+            return real_step(*args)
+
+        monkeypatch.setattr(solver_module, "palm_step", fails_third)
+        v = np.random.default_rng(42).uniform(0, 1, (4, 5))
+        with pytest.raises(NumericError, match=r"^iteration 3: h update produced non-finite values$") as exc_info:
+            solve(v, ObjectiveParams(), SolverConfig(k=2, max_iter=50))
+        assert exc_info.value.iteration == 3
 
     def test_factors_nonnegative_and_finite(self):
         v = np.random.default_rng(42).uniform(0, 3, (9, 11))

@@ -78,7 +78,8 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
     """Noisy nonnegative observation of the product w_r @ h_r.
 
     Adds i.i.d. Gaussian(0, sigma^2) noise, then clamps negatives to zero
-    ("max_zero") or takes absolute values ("absolute").
+    ("max_zero") or takes absolute values ("absolute"). A non-finite
+    noisy product is a NumericError naming sigma.
     """
     SyntheticSpec.check(sigma=sigma, clip_mode=clip_mode, seed=seed)
     w_r = as_matrix(w_r, "w_r")
@@ -87,7 +88,10 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
         raise ShapeError(
             f"cannot multiply {w_r.shape[0]}x{w_r.shape[1]} by {h_r.shape[0]}x{h_r.shape[1]}"
         )
-    noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, sigma, size=(w_r.shape[0], h_r.shape[1]))
+    with np.errstate(over="ignore"):
+        noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, sigma, size=(w_r.shape[0], h_r.shape[1]))
+    if not np.isfinite(noisy).all():  # before clipping, which maps -inf to 0
+        raise NumericError(f"the noisy product w_r @ h_r is not finite at sigma={sigma!r}")
     if clip_mode == "max_zero":
         return np.maximum(noisy, 0.0)
     return np.abs(noisy)

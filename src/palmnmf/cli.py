@@ -10,7 +10,9 @@ A flag that sets a field of ObjectiveParams, SolverConfig or SyntheticSpec
 is that field's JSON key with "-" for "_" (``--beta-w`` sets ``beta_w``),
 and only ``--clip`` spells its values differently (``max-zero``). Such a
 flag is unset unless given: the record is built by the same ``from_dict``
-that reads ``--spec`` and ``--variants``, so it supplies the default.
+that reads ``--spec`` and ``--variants``, so it supplies the default; in
+``bench`` a synth flag given overrides its ``--spec`` key. The flags of
+ObjectiveParams and SolverConfig take type, help and default from the field.
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
 usage or validation error. stdout carries only the documented JSON
@@ -20,7 +22,7 @@ summaries; everything else goes to stderr.
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 from .benchmark import (
@@ -39,17 +41,32 @@ from .objective import ObjectiveParams
 from .solver import SolverConfig, solve
 
 
-def _record(cls, args, **fixed):
-    """Build record *cls* from the flags given for its JSON keys, then
-    *fixed*; a key set by neither takes the record's default."""
+def _record(cls, args, base=(), **fixed):
+    """Build record *cls* from *base*, then the flags given for its JSON
+    keys, then *fixed*; a key set by none takes the record's default."""
     given = {key: getattr(args, key) for key in cls.keys() if getattr(args, key, None) is not None}
-    return cls.from_dict({**given, **fixed})
+    return cls.from_dict({**dict(base), **given, **fixed})
+
+
+def _add_record_flags(sub, cls, *names):
+    """Add a flag for each named field of record *cls* (all, if none is
+    named): "--" and its JSON key with "-" for "_", of the field's type,
+    with its help and default; a field without a default is required."""
+    by_name = {f.name: (key, f) for key, f in zip(cls.keys(), fields(cls))}
+    for name in names or by_name:
+        key, f = by_name[name]
+        default = "" if f.default is MISSING else f" (default {f.default})"
+        flag = "--" + key.replace("_", "-")
+        sub.add_argument(flag, type=f.type, required=not default, help=f.metadata["help"] + default)
+
+
+_SIZES = {"d": 100, "k": 5, "n": 200}
 
 
 def _add_synth_flags(sub):
-    sub.add_argument("--d", type=int, default=100, help="rows of the truth W (default 100)")
-    sub.add_argument("--k", type=int, default=5, help="number of components (default 5)")
-    sub.add_argument("--n", type=int, default=200, help="columns of the truth H (default 200)")
+    sub.add_argument("--d", type=int, help=f"rows of the truth W (default {_SIZES['d']})")
+    sub.add_argument("--k", type=int, help=f"number of components (default {_SIZES['k']})")
+    sub.add_argument("--n", type=int, help=f"columns of the truth H (default {_SIZES['n']})")
     sub.add_argument("--sigma", type=float, help="noise std; default 0.1 x mean entry of the noiseless product")
     sub.add_argument(
         "--w-density",
@@ -65,19 +82,17 @@ def _add_synth_flags(sub):
     sub.add_argument("--seed", type=int, help=f"data seed (default {SyntheticSpec.seed})")
 
 
-def _add_stop_flags(sub):
-    sub.add_argument("--max-iter", type=int, help=f"iteration cap (default {SolverConfig.max_iter})")
-    sub.add_argument("--tol", type=float, help=f"relative step tolerance (default {SolverConfig.tol})")
-
-
-def _spec_from_flags(args):
-    """The spec the synth flags give, checked before anything is drawn.
-    Without --sigma, sigma is the default noise level of the spec's truth."""
+def _spec_from_flags(args, path=None):
+    """The spec of the --spec file at *path*, if any, then the synth flags
+    given, checked before anything is drawn. Without a file, d, k and n
+    default to _SIZES, and an unset --sigma to the truth's noise level."""
+    base = SyntheticSpec.from_dict(load_json(path)).to_dict() if path else _SIZES
     fixed = {} if args.clip is None else {"clip_mode": args.clip.replace("-", "_")}
-    if args.sigma is None:
+    draw_sigma = args.sigma is None and "sigma" not in base
+    if draw_sigma:
         fixed["sigma"] = 0.0  # stands in until the truth is drawn
-    spec = _record(SyntheticSpec, args, **fixed)
-    if args.sigma is None:
+    spec = _record(SyntheticSpec, args, base, **fixed)
+    if draw_sigma:
         spec = replace(spec, sigma=default_sigma(*ground_truth(spec)))
     return spec
 
@@ -149,7 +164,7 @@ def _load_variants(value):
 
 
 def cmd_bench(args):
-    spec = SyntheticSpec.from_dict(load_json(args.spec)) if args.spec else _spec_from_flags(args)
+    spec = _spec_from_flags(args, args.spec)
     variants = _load_variants(args.variants)
     # --seed is the data seed here; the config's seed comes from --init-seed,
     # set on its own so that an error in it names that flag.
@@ -209,15 +224,9 @@ def build_parser():
 
     p = sub.add_parser("factorize", help="factorize a CSV matrix")
     p.add_argument("--input", required=True, help="input matrix CSV")
-    p.add_argument("--k", type=int, required=True, help="number of components")
-    p.add_argument("--lambda", type=float, help=f"l1 weight on W (default {ObjectiveParams.lam})")
-    p.add_argument("--eta", type=float, help=f"smoothness weight on H (default {ObjectiveParams.eta})")
-    p.add_argument("--beta-w", type=float, help=f"ridge weight on W (default {ObjectiveParams.beta_w})")
-    p.add_argument("--beta-h", type=float, help=f"ridge weight on H (default {ObjectiveParams.beta_h})")
-    p.add_argument("--gamma1", type=float, help=f"W step safety factor (default {SolverConfig.gamma1})")
-    p.add_argument("--gamma2", type=float, help=f"H step safety factor (default {SolverConfig.gamma2})")
-    _add_stop_flags(p)
-    p.add_argument("--seed", type=int, help=f"initialization seed (default {SolverConfig.seed})")
+    _add_record_flags(p, SolverConfig, "k")
+    _add_record_flags(p, ObjectiveParams)
+    _add_record_flags(p, SolverConfig, "gamma1", "gamma2", "max_iter", "tol", "seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_factorize)
 
@@ -234,7 +243,7 @@ def build_parser():
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("bench", help="compare regularization variants")
-    p.add_argument("--spec", default=None, help="spec.json path (overrides the synth flags)")
+    p.add_argument("--spec", default=None, help="spec.json path; each synth flag given overrides its key")
     _add_synth_flags(p)
     p.add_argument("--repeats", type=int, default=15, help="runs per variant (default 15)")
     p.add_argument(
@@ -243,7 +252,7 @@ def build_parser():
         help="JSON list of parameter objects, inline or a file path "
         "(default: plain, sparse, smooth, sparse+smooth)",
     )
-    _add_stop_flags(p)
+    _add_record_flags(p, SolverConfig, "max_iter", "tol")
     p.add_argument(
         "--init-seed",
         type=int,

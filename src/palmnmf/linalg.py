@@ -4,7 +4,7 @@ config records.
 Matrices are 2-D float64 numpy arrays throughout the package. The
 validators here (``as_matrix``, ``require_allocatable`` and ``Record``)
 run only where data enters; the prox maps are step kernels that trust
-theirs.
+theirs, and ``difference_operator`` checks only its own n.
 """
 
 import math
@@ -78,7 +78,8 @@ class Record:
 
     Each field is one JSON key, its name unless set by
     ``field(metadata={"key": ...})``; the same metadata may bound it with
-    ``"ge"``, ``"gt"`` or ``"le"`` and a number, or ``"in"`` and a tuple.
+    ``"ge"``, ``"gt"`` or ``"le"`` and a number, or ``"in"`` and a tuple,
+    and give the text of its CLI flag as ``"help"``.
     ``check(**values)`` raises ValueError unless each field it is given
     that is annotated ``int`` is an integer, ``float`` a finite real number
     (bools are neither; nor are NaN, +-inf and integers beyond the float
@@ -104,7 +105,7 @@ class Record:
                     raise ValueError(f"{_key(f)} must be {noun}, got {value!r}")
         for f in given:
             for name, bound in f.metadata.items():
-                if name != "key":
+                if name not in ("key", "help"):
                     holds, op = _BOUNDS[name]
                     if not holds(values[f.name], bound):
                         raise ValueError(f"{_key(f)} must be {op} {bound!r}, got {values[f.name]!r}")
@@ -138,10 +139,12 @@ def difference_operator(n):
     """The n x (n-1) matrix D with D[j,j]=1, D[j+1,j]=-1, zero elsewhere.
 
     Right-multiplying takes adjacent-column differences:
-    (M @ D)[:, j] == M[:, j] - M[:, j+1].
+    (M @ D)[:, j] == M[:, j] - M[:, j+1]. An n below 2, or whose D would
+    not fit in physical memory, is a ValueError raised before allocating.
     """
     if n < 2:
-        raise ValueError(f"difference operator needs n >= 2, got {n}")
+        raise ValueError(f"the difference operator needs at least 2 columns, got n={n}")
+    require_allocatable("the difference operator (n x n-1)", n, n - 1)
     d = np.zeros((n, n - 1))
     idx = np.arange(n - 1)
     d[idx, idx] = 1.0

@@ -12,7 +12,8 @@ proximal step; ``grad_w``/``grad_h`` differentiate everything else.
 
 ``evaluate`` validates its matrices. The gradients and step moduli are
 step kernels that trust theirs (finite float64 2-D arrays of consistent
-shape, as ``solve`` passes them) and check only scalars.
+shape, as ``solve`` passes them) and check only scalars. ``difference_operator``
+checks h's width: at least 2 columns, and a D that fits in physical memory.
 """
 
 import math
@@ -29,18 +30,12 @@ LIPSCHITZ_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ObjectiveParams(Record):
-    """Regularization weights.
+    """Regularization weights, one per term of the cost."""
 
-    lam    -- l1 weight on w (sparsity); JSON key and CLI flag "lambda"
-    eta    -- weight of the adjacent-column smoothness penalty on h
-    beta_w -- ridge weight on w (scale control)
-    beta_h -- ridge weight on h (scale control)
-    """
-
-    lam: float = field(default=0.0, metadata={"key": "lambda", "ge": 0})
-    eta: float = field(default=0.0, metadata={"ge": 0})
-    beta_w: float = field(default=0.1, metadata={"ge": 0})
-    beta_h: float = field(default=0.1, metadata={"ge": 0})
+    lam: float = field(default=0.0, metadata={"key": "lambda", "ge": 0, "help": "l1 weight on W"})
+    eta: float = field(default=0.0, metadata={"ge": 0, "help": "smoothness weight on H"})
+    beta_w: float = field(default=0.1, metadata={"ge": 0, "help": "ridge weight on W"})
+    beta_h: float = field(default=0.1, metadata={"ge": 0, "help": "ridge weight on H"})
 
 
 def evaluate(v, w, h, params):
@@ -48,6 +43,7 @@ def evaluate(v, w, h, params):
 
     Nonnegativity is required of the inputs rather than encoded as an
     infinite indicator value; the solver maintains it by construction.
+    With eta > 0, ``difference_operator`` checks h's width.
     """
     v = as_matrix(v, "v")
     w = as_matrix(w, "w")
@@ -58,8 +54,6 @@ def evaluate(v, w, h, params):
                 *v.shape, *w.shape, *h.shape
             )
         )
-    if params.eta > 0 and h.shape[1] < 2:
-        raise ValueError("smoothness penalty requires at least 2 columns")
     if (w < 0).any():
         raise DomainError("w must be nonnegative")
     if (h < 0).any():
@@ -91,7 +85,7 @@ def grad_h(v, w, h, params):
     """Gradient of the smooth part of the cost with respect to h.
 
     2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h. Inputs are trusted;
-    with eta > 0, h must have at least 2 columns.
+    with eta > 0, ``difference_operator`` checks h's width.
     """
     g = (w.T @ w) @ h - w.T @ v + params.beta_h * h
     if params.eta > 0:

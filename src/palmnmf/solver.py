@@ -29,22 +29,14 @@ from .objective import (
 
 @dataclass(frozen=True)
 class SolverConfig(Record):
-    """Solver knobs.
+    """Solver knobs: inner dimension, step inflations, stopping rule, seed."""
 
-    k        -- inner dimension of the factorization
-    gamma1   -- step-modulus inflation for the w block (> 1)
-    gamma2   -- step-modulus inflation for the h block (> 1)
-    max_iter -- iteration budget
-    tol      -- relative-step stopping threshold
-    seed     -- RNG seed for initialization
-    """
-
-    k: int = field(metadata={"ge": 1})
-    gamma1: float = field(default=1.1, metadata={"gt": 1})
-    gamma2: float = field(default=1.1, metadata={"gt": 1})
-    max_iter: int = field(default=5000, metadata={"ge": 1})
-    tol: float = field(default=1e-6, metadata={"gt": 0})
-    seed: int = field(default=0, metadata={"ge": 0})
+    k: int = field(metadata={"ge": 1, "help": "number of components"})
+    gamma1: float = field(default=1.1, metadata={"gt": 1, "help": "W step safety factor"})
+    gamma2: float = field(default=1.1, metadata={"gt": 1, "help": "H step safety factor"})
+    max_iter: int = field(default=5000, metadata={"ge": 1, "help": "iteration cap"})
+    tol: float = field(default=1e-6, metadata={"gt": 0, "help": "relative step tolerance"})
+    seed: int = field(default=0, metadata={"ge": 0, "help": "initialization seed"})
 
 
 @dataclass
@@ -117,8 +109,8 @@ def solve(v, params, config):
 
     Runs ``palm_step`` from a fresh initialization until the joint relative
     step over the (w, h) pair drops below config.tol or max_iter is reached.
-    With params.eta > 0, a v whose N x (N-1) difference operator would not
-    fit in physical memory is a ValueError, raised before any work starts.
+    With params.eta > 0, a v too narrow or too wide for ``difference_operator``
+    is its ValueError, raised at iteration 0, before any step.
     A non-finite objective, the initial one included, is a NumericError
     that names its iteration (0 for the initial point).
 
@@ -138,9 +130,6 @@ def solve(v, params, config):
         convergence flag.
     """
     v = as_matrix(v, "v")
-    if params.eta > 0:  # evaluate and grad_h build it as a dense matrix
-        n = v.shape[1]
-        require_allocatable("the difference operator (columns of v x columns of v - 1)", n, n - 1)
     w, h = initialize(v, config)
     trace = []
     converged = False

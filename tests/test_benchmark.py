@@ -183,6 +183,14 @@ class TestMakeV:
         with pytest.raises(ShapeError):
             make_v(np.ones((2, 3)), np.ones((2, 2)), 0.1, "max_zero", 0)
 
+    @pytest.mark.parametrize("mode", CLIP_MODES)
+    def test_non_finite_product_names_sigma(self, mode):
+        # -inf is checked before clipping, which would turn it into 0.
+        with pytest.raises(NumericError, match=r"not finite at sigma=0\.0$"):
+            make_v(np.array([[-1e308]]), np.array([[10.0]]), 0.0, mode, 0)
+        with pytest.raises(NumericError, match=r"not finite at sigma=1e\+308$"):
+            make_v(np.ones((10, 1)), np.ones((1, 10)), 1e308, mode, 0)
+
     def test_rejects_bad_sigma_and_mode(self):
         with pytest.raises(ValueError):
             make_v(np.ones((2, 2)), np.ones((2, 2)), -1.0, "max_zero", 0)
@@ -247,8 +255,15 @@ class TestGenerate:
             spec = SyntheticSpec(d=d, k=k, n=n, sigma=sigma, w_density=w_density, clip_mode=clip_mode, seed=seed)
         except ValueError:
             return
-        v, w_r, h_r = generate(spec)
+        try:
+            v, w_r, h_r = generate(spec)
+        except NumericError:  # sigma is unbounded above, and noise that large overflows
+            return
         assert v.shape == (d, n) and w_r.shape == (d, k) and h_r.shape == (k, n)
+
+    def test_overflowing_noise_is_numeric_error(self):
+        with pytest.raises(NumericError, match=r"not finite at sigma=1e\+308$"):
+            generate(SyntheticSpec(d=3, k=1, n=4, sigma=1e308))
 
     def test_default_sigma_hand_value(self):
         w_r = np.array([[1.0, 2.0]])

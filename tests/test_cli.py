@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,18 @@ class TestBench:
         assert [row["variant"] for row in summary] == ["plain", "sparse", "smooth", "sparse+smooth"]
         assert all(row["failed"] == 0 for row in summary)
 
+    def test_flags_override_spec_keys(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "bench"
+        main(["synth", "--d", "4", "--k", "2", "--n", "6", "--seed", "3", "--out", str(data)])
+        spec = json.loads((data / "spec.json").read_text())
+        rc = main([
+            "bench", "--spec", str(data / "spec.json"), "--d", "7", "--n", "9", "--sigma", "5",
+            "--repeats", "1", "--max-iter", "5", "--out", str(out),
+        ])
+        assert rc == 0
+        table = json.loads((out / "comparison.json").read_text())
+        assert table["spec"] == {**spec, "d": 7, "n": 9, "sigma": 5.0}
+
     def test_inline_variants(self, tmp_path, capsys):
         out = tmp_path / "bench"
         variants = json.dumps([{"lambda": 0.0}, {"lambda": 0.3}])
@@ -388,7 +401,7 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
         (["factorize", "--input", "{input}", "--k", str(10**7)], "the Gram h h^T (k x k) would be 10000000x10000000"),
         (
             ["factorize", "--input", "{wide}", "--k", "1", "--eta", "1"],
-            "the difference operator (columns of v x columns of v - 1) would be {n}x{n_1}",
+            "the difference operator (n x n-1) would be {n}x{n_1}",
         ),
     ],
     ids=["factorize-k", "factorize-400-digit-k", "synth-d-n", "factorize-k-gram", "factorize-eta-wide"],
@@ -427,6 +440,37 @@ def test_overflow_before_the_first_step_exits_1(entry, message, tmp_path, cli_en
     assert result.returncode == 1
     assert result.stderr == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["synth"], ["bench", "--repeats", "1", "--max-iter", "1"]])
+def test_overflowing_synthetic_v_exits_1(command, tmp_path, cli_env):
+    out = tmp_path / "o"
+    args = [*command, "--d", "3", "--k", "1", "--n", "4", "--sigma", "1e308", "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: the noisy product w_r @ h_r is not finite at sigma=1e+308\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls", [SolverConfig, ObjectiveParams])
+def test_record_flags_follow_the_records(cls, capsys):
+    """Each field has a factorize flag: its JSON key, of its type, showing
+    its help and default, and parsed into the JSON key."""
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["factorize", "--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    argv = ["factorize", "--input", "v.csv", "--out", "o", "--k", "2"]
+    for f, key in zip(fields(cls), cls.keys()):
+        flag = "--" + key.replace("_", "-")
+        default = "" if f.default is MISSING else f" (default {f.default})"
+        assert f"{flag} {key.upper()} {f.metadata['help']}{default}" in shown
+        argv += [flag, "3"]
+    args = parser.parse_args(argv)
+    for f, key in zip(fields(cls), cls.keys()):
+        assert type(getattr(args, key)) is f.type and getattr(args, key) == 3
 
 
 def test_score_at_huge_scale_prints_nothing_on_stderr(tmp_path, cli_env):

@@ -57,6 +57,10 @@ class TestDifferenceOperator:
         with pytest.raises(ValueError):
             difference_operator(1)
 
+    def test_too_small_names_its_argument(self):
+        with pytest.raises(ValueError, match=r"at least 2 columns, got n=1$"):
+            difference_operator(1)
+
 
 class TestNonnegProject:
     def test_elementwise_max(self):

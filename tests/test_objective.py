@@ -7,10 +7,12 @@ negative entries that perturbation produces).
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import palmnmf.linalg as linalg
 from palmnmf import (
     DomainError,
     ObjectiveParams,
@@ -233,3 +235,24 @@ class TestStepModuli:
     def test_lipschitz_h_rejects_bad_n(self):
         with pytest.raises(ValueError):
             lipschitz_h(np.ones((2, 2)), 0, ObjectiveParams())
+
+
+@pytest.mark.parametrize("caller", ["difference_operator", "evaluate", "grad_h"])
+def test_difference_operator_beyond_memory_refused_by_every_caller(caller, monkeypatch):
+    # With n = isqrt(physical memory / 8) + 2 columns, the n x (n-1)
+    # float64 operator is larger than physical memory. Each caller raises
+    # difference_operator's own error before numpy is asked for it.
+    n = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8) + 2
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the operator was allocated")
+
+    monkeypatch.setattr(linalg.np, "zeros", no_allocation)
+    v, w, h = np.ones((1, n)), np.ones((1, 1)), np.ones((1, n))
+    calls = {
+        "difference_operator": lambda: difference_operator(n),
+        "evaluate": lambda: evaluate(v, w, h, ObjectiveParams(eta=1.0)),
+        "grad_h": lambda: grad_h(v, w, h, ObjectiveParams(eta=1.0)),
+    }
+    with pytest.raises(ValueError, match=rf"^the difference operator \(n x n-1\) would be {n}x{n - 1}: "):
+        calls[caller]()

@@ -273,11 +273,11 @@ class TestSolve:
         v = np.ones((1, n))
         assert solve(v, ObjectiveParams(), SolverConfig(k=1, max_iter=1)).iterations == 1
 
-        def no_work(v, config):
-            raise AssertionError("initialize ran")
+        def no_step(*args):
+            raise AssertionError("palm_step ran")
 
-        monkeypatch.setattr(solver_module, "initialize", no_work)
-        named = rf"the difference operator \(columns of v x columns of v - 1\) would be {n}x{n - 1}: "
+        monkeypatch.setattr(solver_module, "palm_step", no_step)
+        named = rf"the difference operator \(n x n-1\) would be {n}x{n - 1}: "
         with pytest.raises(ValueError, match=named):
             solve(v, ObjectiveParams(eta=1.0), SolverConfig(k=1))
 

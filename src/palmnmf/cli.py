@@ -98,9 +98,9 @@ def _spec_from_flags(args, path=None):
 
 
 def cmd_factorize(args):
-    v = load_matrix(args.input)
     params = _record(ObjectiveParams, args)
     config = _record(SolverConfig, args)
+    v = load_matrix(args.input)
     result = solve(v, params, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

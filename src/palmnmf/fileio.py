@@ -4,7 +4,10 @@ The one matrix interchange format is headerless CSV: one row per line,
 values comma-separated and written as ``'%.17g' % x`` writes them, so a
 save/load round trip is bitwise exact for float64. ``save_matrix`` makes
 those bytes with numpy arithmetic, a fixed number of entries at a time,
-not by formatting one value at a time.
+not by formatting one value at a time. ``load_matrix`` decodes plain
+decimal tokens with numpy arithmetic too, a fixed number of bytes at a
+time, into the doubles ``float()`` reads from them; it leaves every
+other token to ``float()``, and every error to a line-by-line reader.
 
 Every file is written to a temporary file beside its target and then
 moved onto it with ``os.replace``. A write that fails or is interrupted
@@ -15,6 +18,7 @@ import functools
 import json
 import math
 import os
+import sys
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,10 +35,31 @@ _CHUNK = 1 << 14
 # "-1.7976931348623157e+308", and its separator fit, and a buffer row is
 # four uint64 words.
 _SLOT = 32
+# Bytes of file text that load_matrix decodes at once, so that its
+# temporaries have a fixed size whatever the file's shape. At 64 KiB the
+# largest stays below glibc's default 128 KiB mmap threshold, so a block
+# reuses heap memory instead of mapping and faulting in fresh pages.
+_BLOCK = 1 << 16
+# Columns that hold a token's mantissa, point included, when load_matrix
+# decodes it: three groups of eight digits. Each block is read after
+# _PAD, so that every token has _MANT bytes before its end.
+_MANT = 24
+_PAD = b"0" * _MANT
+_ROWS = np.arange(_MANT, dtype=np.uint8)
+# 10**j for j <= 27: exact long doubles, as 5**27 < 2**63.
+_POW10 = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
+# _decode's certificate needs x87 extended precision: a little-endian
+# long double with a 64-bit significand, whose arithmetic rounds to it.
+_DECODER = (
+    sys.byteorder == "little"
+    and np.finfo(np.longdouble).nmant == 63
+    and np.longdouble(1) + np.longdouble(2.0**-63) != 1
+)
 
 
 def load_matrix(path):
-    """Read a headerless CSV matrix.
+    """Read a headerless CSV matrix: the doubles that float() reads from
+    its tokens, decoded by _decode where it can and else by _read_lines.
 
     Raises ParseError (with 1-based line/column where known) on empty
     files, ragged rows, and tokens that are not finite decimal numbers.
@@ -43,6 +68,16 @@ def load_matrix(path):
     A byte that is not UTF-8 is read as a lone surrogate, which no number
     contains, so it is reported as an invalid token at its line and column.
     """
+    # The line loop reads again what _decode hands back, so _decode takes
+    # only a regular file: a pipe could not be read twice.
+    m = _decode(path) if _DECODER and os.path.isfile(path) else None
+    return _read_lines(path) if m is None else m
+
+
+def _read_lines(path):
+    """load_matrix by the line loop: each line split at commas and its
+    tokens read by float(). It reads what _decode hands back, and raises
+    every ParseError."""
     values = array("d")
     width = None
     with open(path, errors="surrogateescape") as f:
@@ -84,6 +119,143 @@ def _check_tokens(path, lineno, tokens):
                 line=lineno,
                 column=colno,
             )
+
+
+def _decode(path):
+    """load_matrix's matrix, read by _decode_tokens one block of whole
+    tokens at a time; or None, for _read_lines to read, where the file is
+    empty, a line is ragged or _decode_tokens hands a block back."""
+    values = array("d")
+    width = None
+    line = 0  # tokens so far in the line that a block leaves unfinished
+    tail = b""
+    with open(path, "rb") as f:
+        while True:
+            # Reading at least as much as is carried keeps a token longer
+            # than a block linear to read.
+            chunk = f.read(_BLOCK + len(tail))
+            if not chunk:
+                if not (tail or line):
+                    break
+                chunk = b"\n"  # the last line ends at the end of the file
+            text = _PAD + tail + chunk
+            cut = max(text.rfind(b","), text.rfind(b"\n")) + 1
+            tail = text[max(cut, _MANT) :]
+            if not cut:
+                continue
+            b = np.frombuffer(text, np.uint8, cut)
+            sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+            ends = np.flatnonzero(b[sep] == ord("\n"))
+            if ends.size:
+                first = line + ends[0] + 1  # tokens of the line the block ends first
+                width = width or first
+                if first != width or (ends[1:] - ends[:-1] != width).any():
+                    return None
+                line = sep.size - 1 - ends[-1]
+            else:
+                line += sep.size
+            x = _decode_tokens(text, b, sep)
+            if x is None:
+                return None
+            values.frombytes(x.view(np.uint8))
+    return None if width is None else np.frombuffer(values).reshape(-1, width)
+
+
+def _decode_tokens(text, b, sep):
+    """float(token) for the tokens of the bytes *text*, as float64; or
+    None, for _read_lines to read the file from its start, where a token
+    is empty, holds a "\\r" (which ends a line there) or a byte that is
+    not ASCII, or is one that float() rejects or reads as non-finite. So
+    every value, error, line and column is the line loop's. *b* is *text*
+    as uint8: _MANT bytes of _PAD, then tokens, each ending at a
+    separator in *sep*.
+
+    A plain decimal token, -?D*[.D*][(e|E)[+-]D+] with D a digit and one
+    at least before the exponent, is an integer M, its mantissa's digits
+    with the point dropped, times 10**q, q its exponent less the digits
+    after the point. For M < 2**64 and |q| <= 27, M and 10**|q| are
+    exact long doubles, so X = M * 10**q, or M / 10**-q, is the token's
+    value x rounded once to long double. The double nearest X is then
+    the double nearest x, which float() gives, unless X is a midpoint m
+    of two adjacent doubles. Each such m has 54 significant bits, so it
+    is a long double, and rounding is monotone: x < m gives X <= m, and
+    x > m gives X >= m. So an X strictly between two adjacent midpoints
+    has its x between them too, and both round to the one double there.
+    A midpoint's low 11 bits of 64 are 0x400. Such tokens, those with a
+    larger M or |q|, a mantissa wider than _MANT bytes or more than four
+    exponent digits, and those outside the grammar go to float().
+    """
+    start = np.empty_like(sep)
+    start[0] = _MANT
+    start[1:] = sep[:-1] + 1
+    if (start == sep).any():
+        return None
+    negative = b[start] == ord("-")
+    # The mantissa ends at an "e" or "E" if there is one. In a token with
+    # two it ends at the second, and then fails the digit test.
+    e_at = np.flatnonzero((b | 32) == ord("e"))
+    e_tok = np.searchsorted(sep, e_at)
+    mend = sep.copy()
+    mend[e_tok] = e_at
+    size = mend - start - negative
+    cols = _columns(b, mend, size, _MANT)
+    # Drop the point, whose byte XOR "0" is 30: the columns before it
+    # move one to the right. In a token with two, one stays and fails the
+    # digit test.
+    drop = ((cols == 30) * (_ROWS + 1)[:, None]).max(0)
+    cols[1:] -= (cols[1:] - cols[:-1]) * (_ROWS[1:, None] < drop)
+    cols[0] *= drop == 0
+    ok = (size <= _MANT) & (size > (drop > 0)) & ~(cols > 9).any(0)
+    # M's three groups of eight digits, made pairwise: digit pairs, then
+    # groups of four, then of eight.
+    pairs = cols[0::2] * np.uint8(10) + cols[1::2]
+    quads = pairs[0::2].astype(np.uint16) * 100 + pairs[1::2]
+    groups = quads[0::2].astype(np.uint64) * 10000 + quads[1::2]
+    ok &= groups[0] < 1844  # M < 2**64
+    q = np.where(drop > 0, drop.astype(np.int64) - _MANT, 0)
+    if e_at.size:
+        sign = b[e_at + 1]
+        end = sep[e_tok]
+        digits = end - e_at - 1 - ((sign == ord("+")) | (sign == ord("-")))
+        cols = _columns(b, end, digits, 4)
+        ok[e_tok] &= (digits > 0) & (digits <= 4) & ~(cols > 9).any(0)
+        pairs = cols[0::2] * np.uint8(10) + cols[1::2]
+        exp = pairs[0].astype(np.int64) * 100 + pairs[1]
+        q[e_tok] += np.where(sign == ord("-"), -exp, exp)
+    ok &= np.abs(q) <= 27
+    q[~ok] = 0
+    x = (groups[0] * 10**16 + groups[1] * 10**8 + groups[2]).astype(np.longdouble)
+    np.multiply(x, _POW10[q], out=x, where=q > 0)
+    np.divide(x, _POW10[-q], out=x, where=q < 0)
+    ok &= x.view(np.uint64)[::2] & 0x7FF != 0x400
+    d = x.astype(np.float64)
+    np.negative(d, out=d, where=negative)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        tokens = b",".join([text[i:j] for i, j in zip(start[slow].tolist(), sep[slow].tolist())])
+        if b"\r" in tokens or not tokens.isascii():
+            return None
+        try:
+            d[slow] = list(map(float, tokens.decode().split(",")))
+        except ValueError:
+            return None
+        if not np.isfinite(d[slow]).all():
+            return None
+    return d
+
+
+def _columns(b, end, count, width):
+    """The *count* bytes of *b* before each index in *end*, right-aligned
+    in *width* columns, as a (width, len(end)) array: each byte XOR "0",
+    which maps the digits to 0-9 and every other byte above 9, and 0 in
+    the columns before the bytes."""
+    first = end - width
+    cols = np.empty((width, end.size), np.uint8)
+    for c in range(width):
+        b[c:].take(first, out=cols[c])
+    cols ^= ord("0")
+    cols *= _ROWS[:width, None] >= (width - np.minimum(count, width)).astype(np.uint8)
+    return cols
 
 
 def save_matrix(m, path):

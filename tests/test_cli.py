@@ -92,6 +92,20 @@ class TestFactorize:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--k", "0"], "k must be >= 1, got 0"), (["--k", "2", "--tol", "-1"], "tol must be > 0, got -1.0")],
+        ids=["k", "tol"],
+    )
+    def test_flags_checked_before_input_is_read(self, tmp_path, capsys, flags, message):
+        # The flag's error, not the input's: the flags fail before the
+        # file is read.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,x\n")
+        rc = main(["factorize", "--input", str(bad), *flags, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_numeric_failure_exits_1(self, small_input, tmp_path, capsys, monkeypatch):
         def blow_up(v, params, config):
             raise NumericError("w update produced non-finite values", iteration=3)

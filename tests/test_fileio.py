@@ -1,9 +1,11 @@
 """CSV matrix format and JSON file round trips."""
 
 import math
+import os
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,6 +313,182 @@ class TestEncoder:
         rng = np.random.default_rng(rows * 7 + cols)
         m = rng.choice([-1.0, 0.0, 1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-8, 20, (rows, cols))
         self.assert_matches_oracle(m, tmp_path / "m.csv")
+
+
+def decode_column(path, tokens):
+    """The bit patterns of the doubles load_matrix's decoder reads from
+    *tokens*, one per line, and of those float() reads from them."""
+    path.write_text("\n".join(tokens) + "\n")
+    m = fileio._decode(path)
+    assert m is not None  # decoded, not handed to the line loop
+    return m.ravel().view(np.uint64), np.array([float(t) for t in tokens]).view(np.uint64)
+
+
+def with_negatives(tokens):
+    return tokens + ["-" + t for t in tokens if not t.startswith("-")]
+
+
+# Tokens where a decoding error would show. An exact decimal midpoint of
+# two doubles rounds to even. A false midpoint is not one, but rounds to
+# one in long double, so a cast of that long double would round it the
+# wrong way.
+DECODER_CASES = {
+    "exact-midpoints": ["9007199254740993", "9007199254740993.0", "900719925474099.3e1", str(2**60 + 128)],
+    "false-midpoints": ["14757395258967649485e1", "14757395258967652761e1", "11805916207174916506e2"],
+    "19-20-digits": [
+        "1234567890123456789",
+        "12345678901234567890",
+        "0.12345678901234567891",
+        "18439999999999999999",
+        "18440000000000000000",
+        "18450000000000000000",
+        str(2**64 - 1),
+        str(2**64),
+        str(2**64 + 1),
+        "1.8446744073709551615e19",
+    ],
+    "q-27-28": ["1e27", "1e28", "1e-27", "1e-28", "123456789e18", "123456789e19", "1.5e-26", "1.5e-27"],
+    "forms": ["0", "-0", "0.0", "-0.0", "000123.4500", ".5", "5.", "-.5", "-5.", "0" * 23 + "1", "0." + "0" * 21 + "1"],
+    "exponents": ["1e5", "1E5", "1e+5", "1e-5", "1e05", "1e-05", "1e005", "1e0005", "1e-0005", "1.5E+0010", "1e00005"],
+    "beyond-q": ["1.7976931348623157e308", "4.9406564584124654e-324", "2.2250738585072014e-308", "1e-300"],
+}
+
+# Doubles as '%.17g', repr and '%.{p}e' write them, and plain decimal
+# tokens, some wider than the decoder takes; all of finite value.
+formatted_doubles = st.tuples(
+    st.sampled_from(["%.17g", "%r", *(f"%.{p}e" for p in range(20))]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(lambda t: t[0] % t[1])
+digit_strings = st.from_regex(r"\A-?[0-9]{0,25}(\.[0-9]{0,25})?([eE][+-]?[0-9]{1,5})?\Z").filter(
+    lambda t: any(c.isdigit() for c in t.lower().split("e")[0])
+)
+finite_tokens = st.one_of(formatted_doubles, digit_strings).filter(lambda t: math.isfinite(float(t)))
+
+
+@pytest.mark.skipif(not fileio._DECODER, reason="long double is not the x87 format; load_matrix runs the line loop")
+class TestDecoderValues:
+    """The decoder's doubles, bitwise against float()."""
+
+    @pytest.mark.parametrize("tokens", DECODER_CASES.values(), ids=list(DECODER_CASES))
+    def test_cases(self, tmp_path, tokens):
+        got, want = decode_column(tmp_path / "m.csv", with_negatives(tokens))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("battery", BATTERIES.values(), ids=list(BATTERIES))
+    def test_encoder_batteries_round_trip(self, tmp_path, battery):
+        m = np.array(battery + [-x for x in battery])[:, None]
+        save_matrix(m, tmp_path / "m.csv")
+        assert fileio._decode(tmp_path / "m.csv").tobytes() == m.tobytes()
+
+    @given(st.lists(finite_tokens, min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_random_tokens(self, tokens):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = decode_column(Path(tmp) / "m.csv", tokens)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "token, by_float",
+        [
+            ("9007199254740992", False),
+            ("9007199254740993", True),  # an exact midpoint
+            ("14757395258967649485e1", True),  # a false midpoint
+            ("18439999999999999999", False),
+            ("18440000000000000000", True),  # M may reach 2**64
+            ("1e27", False),
+            ("1e-27", False),
+            ("1e28", True),
+            ("1e-28", True),
+            ("1e-0005", False),
+            ("1e00005", True),  # five exponent digits
+            ("0" * 23 + "1", False),
+            ("0" * 24 + "1", True),  # wider than the mantissa window
+            ("." + "0" * 22 + "1", False),  # as wide, its point first
+            (" 1", True),  # outside the grammar
+            ("+1", True),
+            ("1_0", True),
+        ],
+    )
+    def test_tokens_float_reads(self, tmp_path, monkeypatch, token, by_float):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return float(text)
+
+        monkeypatch.setattr(fileio, "float", counted, raising=False)
+        got, want = decode_column(tmp_path / "m.csv", [token, "2.5"])
+        np.testing.assert_array_equal(got, want)
+        assert calls == ([token] if by_float else [])
+
+
+# Inputs whose lines, tokens or bytes the decoder hands back or cuts
+# across blocks.
+STRUCTURES = {
+    "tokens": "1.25,-3.5e-7,42\n0.1,2,3\n" * 5,
+    "wide-line": ",".join(["1.5"] * 40) + "\n" + ",".join(["-2"] * 40) + "\n",
+    "wide-first-line-ragged": ",".join(["0"] * 40) + "\n" + "0\n" * 40,
+    "ragged-late": "1,2\n" * 30 + "3\n",
+    "no-final-newline": "1,2\n3,4",
+    "trailing-comma": "1,2\n3,",
+    "blank-line": "1\n\n2\n",
+    "empty": "",
+    "cr": "1\r2\r\n3\n",
+    "cr-in-token": "0.0\r\r",
+    "cr-at-end": "1,2\n3,4\r",
+    "cr-at-start": "\r1\n",
+    "non-ascii-digit": "1,\u0661\n",
+    "no-break-space": "1,\u00a02\n",
+    "non-ascii-letter": "1,2\n3,\u00e9\n",
+    "non-finite": "1,2\n3,inf\n",
+    "overflowing-sum": "1e308,1e308\n",
+}
+
+
+class TestDecoderStructure:
+    """load_matrix against load_matrix_oracle, with blocks cut small and
+    the decoder on and off."""
+
+    @pytest.mark.parametrize("decoder", [True, False], ids=["decoder", "line-loop"])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, fileio._BLOCK])
+    @pytest.mark.parametrize("text", STRUCTURES.values(), ids=list(STRUCTURES))
+    def test_matches_reference_parser(self, tmp_path, monkeypatch, text, block, decoder):
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        monkeypatch.setattr(fileio, "_DECODER", decoder)
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert parse_outcome(load_matrix, path) == parse_outcome(load_matrix_oracle, path)
+
+    @pytest.mark.parametrize("block", [1, 5, fileio._BLOCK])
+    def test_bad_utf8_byte_as_without_decoder(self, tmp_path, monkeypatch, block):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1.5,2.5,3.5\n" * 20 + b"4,5\xff,6\n")
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        decoded = parse_outcome(load_matrix, path)
+        monkeypatch.setattr(fileio, "_DECODER", False)
+        assert decoded == parse_outcome(load_matrix, path)
+        assert decoded[2:] == (21, 2)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("text", [b"1,2\n3,4\n", b"1,2\r\n3,4\r\n"], ids=["lf", "crlf"])
+    def test_pipe_is_read_once(self, text):
+        # A pipe cannot be read again, so the line loop reads it, even
+        # where the decoder would hand the file back.
+        r, w = os.pipe()
+        os.write(w, text)
+        os.close(w)
+        try:
+            np.testing.assert_array_equal(load_matrix(f"/dev/fd/{r}"), [[1.0, 2.0], [3.0, 4.0]])
+        finally:
+            os.close(r)
+
+    @given(csv_matrix, st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_files_in_small_blocks(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_BLOCK", block):
+            path = Path(tmp) / "m.csv"
+            path.write_text(text)
+            assert parse_outcome(load_matrix, path) == parse_outcome(load_matrix_oracle, path)
 
 
 class TestReplacingWrites:

@@ -7,6 +7,7 @@ and compares regularization variants across repeated random
 initializations.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -334,23 +335,8 @@ def run_comparison(spec, variants, config, repeats):
             try:
                 res = solve(v, params, run_config)
                 score = score_recovery(res.w, res.h, w_r, h_r)
-                runs.append(
-                    RunScore(
-                        seed=run_config.seed,
-                        dist_w=score.dist_w,
-                        dist_h=score.dist_h,
-                        converged=res.converged,
-                    )
-                )
+                runs.append(RunScore(run_config.seed, score.dist_w, score.dist_h, res.converged))
             except (NumericError, ValueError) as exc:
-                runs.append(
-                    RunScore(
-                        seed=run_config.seed,
-                        dist_w=float("nan"),
-                        dist_h=float("nan"),
-                        converged=False,
-                        error=str(exc),
-                    )
-                )
+                runs.append(RunScore(run_config.seed, math.nan, math.nan, False, str(exc)))
         results.append(VariantResult(label=variant_label(params), params=params, runs=tuple(runs)))
     return results

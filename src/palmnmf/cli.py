@@ -179,17 +179,12 @@ def cmd_bench(args):
     table_variants = []
     summary = []
     for vr in results:
-        runs = []
-        for run in vr.runs:
-            if run.error is None:
-                csv_lines.append("%s,%d,%.17g,%.17g" % (vr.label, run.seed, run.dist_w, run.dist_h))
-                dist_w, dist_h = run.dist_w, run.dist_h
-            else:
-                csv_lines.append("%s,%d,failed,failed" % (vr.label, run.seed))
-                dist_w = dist_h = None
-            runs.append(
-                {"seed": run.seed, "dist_w": dist_w, "dist_h": dist_h, "converged": run.converged, "error": run.error}
-            )
+        runs = [asdict(run) for run in vr.runs]
+        for run in runs:
+            if run["error"] is not None:  # even an empty message marks a failed run
+                run["dist_w"] = run["dist_h"] = None
+            dists = ["failed" if run[key] is None else "%.17g" % run[key] for key in ("dist_w", "dist_h")]
+            csv_lines.append(",".join([vr.label, str(run["seed"]), *dists]))
         stats = vr.stats()
         table_variants.append({"label": vr.label, "params": vr.params.to_dict(), "runs": runs, "stats": stats})
         summary.append(

@@ -1,6 +1,8 @@
 """Synthetic generators, recovery scoring, and the variant comparison."""
 
 import itertools
+import math
+import os
 
 import numpy as np
 import pytest
@@ -452,6 +454,21 @@ class TestRunComparison:
         assert "boom" in failed.error
         # stats computed over the surviving runs only
         assert result.stats()["score"]["mean"] is not None
+
+    def test_smooth_variants_fail_per_run_on_a_v_too_wide_for_g(self):
+        # With n = isqrt(physical memory / 8) + 2 columns, the dense
+        # n x (n-1) difference operator does not fit, so each smooth run
+        # raises its real ValueError before allocating; the others still run.
+        n = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8) + 2
+        spec = SyntheticSpec(d=1, k=1, n=n, sigma=0.1, seed=1)
+        results = run_comparison(spec, default_variants(), SolverConfig(k=1, max_iter=3), repeats=2)
+        assert [vr.label for vr in results] == ["plain", "sparse", "smooth", "sparse+smooth"]
+        for vr in results[:2]:
+            assert all(r.error is None and np.isfinite(r.dist_w + r.dist_h) for r in vr.runs)
+        named = f"the difference operator (n x n-1) would be {n}x{n - 1}: "
+        for vr in results[2:]:
+            assert all(named in r.error and np.isnan(r.dist_w) and np.isnan(r.dist_h) for r in vr.runs)
+            assert all(stat["median"] is None for stat in vr.stats().values())
 
     def test_all_failures_leave_empty_stats(self, monkeypatch):
         def always_raise(v, params, config):

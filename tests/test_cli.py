@@ -319,6 +319,7 @@ class TestBench:
         assert lines[1] == "plain,1000,failed,failed"
         table = json.loads((out / "comparison.json").read_text())
         assert table["variants"][0]["runs"][0]["dist_w"] is None
+        self.assert_outputs_agree(out, capsys.readouterr().out)
 
         monkeypatch.setattr(benchmark, "solve", lambda *a, **k: (_ for _ in ()).throw(NumericError("dead")))
         rc = main([
@@ -326,6 +327,44 @@ class TestBench:
             "--variants", variants, "--max-iter", "30", "--out", str(tmp_path / "bench2"),
         ])
         assert rc == 1
+        self.assert_outputs_agree(tmp_path / "bench2", capsys.readouterr().out)
+
+        # an empty message still marks a failed run
+        def silent(v, params, config):
+            if config.seed == 1001:
+                raise NumericError("")
+            return real_solve(v, params, config)
+
+        monkeypatch.setattr(benchmark, "solve", silent)
+        rc = main([
+            "bench", "--d", "8", "--k", "2", "--n", "12", "--repeats", "2",
+            "--variants", variants, "--max-iter", "30", "--out", str(tmp_path / "bench3"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "bench3" / "comparison.csv").read_text().splitlines()[2] == "plain,1001,failed,failed"
+        run = json.loads((tmp_path / "bench3" / "comparison.json").read_text())["variants"][0]["runs"][1]
+        assert run == {"seed": 1001, "dist_w": None, "dist_h": None, "converged": False, "error": ""}
+        self.assert_outputs_agree(tmp_path / "bench3", capsys.readouterr().out)
+
+    @staticmethod
+    def assert_outputs_agree(out, stdout):
+        """comparison.csv rows restate comparison.json's runs, and each
+        stdout summary row counts its variant's failed runs."""
+        variants = json.loads((out / "comparison.json").read_text())["variants"]
+        rows = [
+            [vr["label"], str(run["seed"])]
+            + ["failed" if run[key] is None else "%.17g" % run[key] for key in ("dist_w", "dist_h")]
+            for vr in variants
+            for run in vr["runs"]
+        ]
+        lines = (out / "comparison.csv").read_text().splitlines()
+        assert lines == ["variant,seed,dist_w,dist_h"] + [",".join(row) for row in rows]
+        for vr in variants:
+            assert all((run["error"] is None) == (run["dist_w"] is not None) for run in vr["runs"])
+        summary = json.loads(stdout)
+        assert [(s["variant"], s["failed"]) for s in summary] == [
+            (vr["label"], sum(run["error"] is not None for run in vr["runs"])) for vr in variants
+        ]
 
 
 class TestDefaults:

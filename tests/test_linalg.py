@@ -34,11 +34,20 @@ class TestDifferenceOperator:
         )
 
     def test_right_multiplication_takes_adjacent_differences(self):
+        # Exact, not approximate: each entry of m @ G and (m @ G) @ G.T is
+        # one difference of two entries (each times +-1, all other terms
+        # zero), so BLAS gives the sliced values. Values, not bytes: on a
+        # zero matrix BLAS gives +0.0 in the last column of (m @ G) @ G.T
+        # where slicing gives -0.0 (-hd[:, -1]), so a bitwise digest of a
+        # sliced G Gᵀ can differ from the dense one there.
         rng = np.random.default_rng(42)
-        m = rng.standard_normal((4, 7))
-        prod = m @ difference_operator(7)
-        for j in range(6):
-            np.testing.assert_allclose(prod[:, j], m[:, j] - m[:, j + 1], rtol=1e-15)
+        for n in (2, 3, 7, 2000):
+            g = difference_operator(n)
+            for m in (rng.standard_normal((4, n)), rng.uniform(size=(4, n)), np.zeros((4, n))):
+                hd = m[:, :-1] - m[:, 1:]
+                np.testing.assert_array_equal(m @ g, hd)
+                sliced = np.concatenate([hd[:, :1], hd[:, 1:] - hd[:, :-1], -hd[:, -1:]], axis=1)
+                np.testing.assert_array_equal((m @ g) @ g.T, sliced)
 
     def test_gram_structure_and_norm(self):
         for n in range(2, 51):

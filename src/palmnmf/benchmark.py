@@ -24,20 +24,20 @@ CLIP_MODES = ("max_zero", "absolute")
 class SyntheticSpec(Record):
     """Recipe for one synthetic instance: v = clip(w_true @ h_true + noise).
 
-    d, k, n   -- shapes: w_true is d x k, h_true is k x n
-    sigma     -- standard deviation of the additive Gaussian noise
-    w_density -- fraction of w_true entries left nonzero (in (0, 1])
-    clip_mode -- "max_zero" clamps negatives to 0, "absolute" takes |.|
-    seed      -- base seed; w, h, and noise use seed, seed+1, seed+2
+    w, h and the noise are drawn with seed, seed + 1 and seed + 2.
     """
 
-    d: int = field(metadata={"ge": 1})
-    k: int = field(metadata={"ge": 1})
-    n: int = field(metadata={"ge": 2})
-    sigma: float = field(metadata={"ge": 0})
-    w_density: float = field(default=1.0, metadata={"gt": 0, "le": 1})
-    clip_mode: str = field(default="max_zero", metadata={"in": CLIP_MODES})
-    seed: int = field(default=0, metadata={"ge": 0})
+    d: int = field(metadata={"ge": 1, "help": "rows of the truth W"})
+    k: int = field(metadata={"ge": 1, "help": "number of components"})
+    n: int = field(metadata={"ge": 2, "help": "columns of the truth H"})
+    sigma: float = field(metadata={"ge": 0, "help": "noise std"})
+    w_density: float = field(
+        default=1.0, metadata={"gt": 0, "le": 1, "help": "fraction of nonzero entries in the truth W"}
+    )
+    clip_mode: str = field(
+        default="max_zero", metadata={"in": CLIP_MODES, "help": "how negatives after noise are made nonnegative"}
+    )
+    seed: int = field(default=0, metadata={"ge": 0, "help": "data seed"})
 
 
 def gen_smooth_rows(k, n, seed):

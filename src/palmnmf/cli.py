@@ -11,8 +11,9 @@ is that field's JSON key with "-" for "_" (``--beta-w`` sets ``beta_w``),
 and only ``--clip`` spells its values differently (``max-zero``). Such a
 flag is unset unless given: the record is built by the same ``from_dict``
 that reads ``--spec`` and ``--variants``, so it supplies the default; in
-``bench`` a synth flag given overrides its ``--spec`` key. The flags of
-ObjectiveParams and SolverConfig take type, help and default from the field.
+``bench`` a synth flag given overrides its ``--spec`` key. Each such flag
+but ``--clip`` is made from its field: type, help and default, or the
+CLI's own default where it has one (``--d``, ``--k``, ``--n``, ``--sigma``).
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
 usage or validation error. stdout carries only the documented JSON
@@ -48,38 +49,33 @@ def _record(cls, args, base=(), **fixed):
     return cls.from_dict({**dict(base), **given, **fixed})
 
 
-def _add_record_flags(sub, cls, *names):
+def _add_record_flags(sub, cls, *names, defaults=None):
     """Add a flag for each named field of record *cls* (all, if none is
     named): "--" and its JSON key with "-" for "_", of the field's type,
-    with its help and default; a field without a default is required."""
+    with its help and its default in *defaults*, else the field's; a field
+    with neither is required."""
     by_name = {f.name: (key, f) for key, f in zip(cls.keys(), fields(cls))}
     for name in names or by_name:
         key, f = by_name[name]
-        default = "" if f.default is MISSING else f" (default {f.default})"
+        default = (defaults or {}).get(name, f.default)
+        shown = "" if default is MISSING else f" (default {default})"
         flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, type=f.type, required=not default, help=f.metadata["help"] + default)
+        sub.add_argument(flag, type=f.type, required=not shown, help=f.metadata["help"] + shown)
 
 
 _SIZES = {"d": 100, "k": 5, "n": 200}
 
 
 def _add_synth_flags(sub):
-    sub.add_argument("--d", type=int, help=f"rows of the truth W (default {_SIZES['d']})")
-    sub.add_argument("--k", type=int, help=f"number of components (default {_SIZES['k']})")
-    sub.add_argument("--n", type=int, help=f"columns of the truth H (default {_SIZES['n']})")
-    sub.add_argument("--sigma", type=float, help="noise std; default 0.1 x mean entry of the noiseless product")
-    sub.add_argument(
-        "--w-density",
-        type=float,
-        help=f"fraction of nonzero entries in the truth W (default {SyntheticSpec.w_density})",
-    )
+    sigma = "0.1 x mean entry of the noiseless product"
+    _add_record_flags(sub, SyntheticSpec, "d", "k", "n", "sigma", "w_density", defaults={**_SIZES, "sigma": sigma})
+    clip = SyntheticSpec.__dataclass_fields__["clip_mode"]
     sub.add_argument(
         "--clip",
         choices=sorted(mode.replace("_", "-") for mode in CLIP_MODES),
-        help="how negatives after noise are made nonnegative "
-        f"(default {SyntheticSpec.clip_mode.replace('_', '-')})",
+        help=f"{clip.metadata['help']} (default {clip.default.replace('_', '-')})",
     )
-    sub.add_argument("--seed", type=int, help=f"data seed (default {SyntheticSpec.seed})")
+    _add_record_flags(sub, SyntheticSpec, "seed")
 
 
 def _spec_from_flags(args, path=None):
@@ -104,15 +100,15 @@ def cmd_factorize(args):
     result = solve(v, params, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix(result.w, out / "W.csv")
-    save_matrix(result.h, out / "H.csv")
-    save_matrix(list(enumerate(result.objective_trace)), out / "trace.csv")
+    matrices = {"W.csv": result.w, "H.csv": result.h, "trace.csv": list(enumerate(result.objective_trace))}
+    for name, m in matrices.items():
+        save_matrix(m, out / name)
     manifest = {
         "input": args.input,
         "params": params.to_dict(),
         "config": config.to_dict(),
         "out_dir": args.out,
-        "files": ["W.csv", "H.csv", "trace.csv", "manifest.json"],
+        "files": [*matrices, "manifest.json"],
     }
     save_json(manifest, out / "manifest.json")
     print(
@@ -129,14 +125,13 @@ def cmd_factorize(args):
 
 def cmd_synth(args):
     spec = _spec_from_flags(args)
-    v, w_r, h_r = generate(spec)
+    matrices = dict(zip(("V.csv", "W_true.csv", "H_true.csv"), generate(spec)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix(v, out / "V.csv")
-    save_matrix(w_r, out / "W_true.csv")
-    save_matrix(h_r, out / "H_true.csv")
+    for name, m in matrices.items():
+        save_matrix(m, out / name)
     save_json(spec.to_dict(), out / "spec.json")
-    print(json.dumps({"files": ["V.csv", "W_true.csv", "H_true.csv", "spec.json"], "sigma": spec.sigma}))
+    print(json.dumps({"files": [*matrices, "spec.json"], "sigma": spec.sigma}))
     return 0
 
 
@@ -219,9 +214,8 @@ def build_parser():
 
     p = sub.add_parser("factorize", help="factorize a CSV matrix")
     p.add_argument("--input", required=True, help="input matrix CSV")
-    _add_record_flags(p, SolverConfig, "k")
+    _add_record_flags(p, SolverConfig)
     _add_record_flags(p, ObjectiveParams)
-    _add_record_flags(p, SolverConfig, "gamma1", "gamma2", "max_iter", "tol", "seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_factorize)
 
@@ -240,7 +234,7 @@ def build_parser():
     p = sub.add_parser("bench", help="compare regularization variants")
     p.add_argument("--spec", default=None, help="spec.json path; each synth flag given overrides its key")
     _add_synth_flags(p)
-    p.add_argument("--repeats", type=int, default=15, help="runs per variant (default 15)")
+    p.add_argument("--repeats", type=int, default=15, help="runs per variant (default %(default)s)")
     p.add_argument(
         "--variants",
         default=None,
@@ -252,7 +246,7 @@ def build_parser():
         "--init-seed",
         type=int,
         default=1000,
-        help="first initialization seed; run r uses init-seed + r (default 1000)",
+        help="first initialization seed; run r uses init-seed + r (default %(default)s)",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)

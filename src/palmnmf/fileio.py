@@ -49,10 +49,12 @@ _ROWS = np.arange(_MANT, dtype=np.uint8)
 # 10**j for j <= 27: exact long doubles, as 5**27 < 2**63.
 _POW10 = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
 # _decode's certificate needs x87 extended precision: a little-endian
-# long double with a 64-bit significand, whose arithmetic rounds to it.
+# long double with a 64-bit significand, whose arithmetic rounds to it,
+# in 16 bytes, as _decode reads the low word as every other uint64.
 _DECODER = (
     sys.byteorder == "little"
     and np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
     and np.longdouble(1) + np.longdouble(2.0**-63) != 1
 )
 
@@ -80,7 +82,7 @@ def _read_lines(path):
     every ParseError."""
     values = array("d")
     width = None
-    with open(path, errors="surrogateescape") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             tokens = line.split(",")
             if width is None:
@@ -426,7 +428,7 @@ def save_json(obj, path):
 def load_json(path):
     """Read a JSON file; a decode or syntax error names *path*."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return parse_json(text, path)

@@ -77,6 +77,7 @@ class TestFactorize:
         assert manifest["params"]["eta"] == 1.5
         assert manifest["config"]["seed"] == 4
         assert manifest["files"] == ["W.csv", "H.csv", "trace.csv", "manifest.json"]
+        assert sorted(manifest["files"]) == sorted(path.name for path in out.iterdir())
 
     def test_missing_input_flag_is_usage_error(self, capsys):
         rc = main(["factorize", "--k", "3", "--out", "x"])
@@ -156,6 +157,9 @@ class TestSynth:
         out = tmp_path / "data"
         rc = main(["synth", "--out", str(out)])
         assert rc == 0
+        files = json.loads(capsys.readouterr().out)["files"]
+        assert files == ["V.csv", "W_true.csv", "H_true.csv", "spec.json"]
+        assert sorted(files) == sorted(path.name for path in out.iterdir())
         assert load_matrix(out / "V.csv").shape == (100, 200)
         assert load_matrix(out / "W_true.csv").shape == (100, 5)
         assert load_matrix(out / "H_true.csv").shape == (5, 200)
@@ -507,23 +511,45 @@ def test_overflowing_synthetic_v_exits_1(command, tmp_path, cli_env):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cls", [SolverConfig, ObjectiveParams])
+# The commands whose flags each record makes, and the defaults the CLI
+# shows in place of the record's.
+RECORD_FLAGS = {
+    SolverConfig: (["factorize"], {}),
+    ObjectiveParams: (["factorize"], {}),
+    SyntheticSpec: (
+        ["synth", "bench"],
+        {"d": 100, "k": 5, "n": 200, "sigma": "0.1 x mean entry of the noiseless product"},
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORD_FLAGS))
 def test_record_flags_follow_the_records(cls, capsys):
-    """Each field has a factorize flag: its JSON key, of its type, showing
-    its help and default, and parsed into the JSON key."""
+    """Each field has a flag in each command of its record: its JSON key,
+    of its type, showing its help and default, and parsed into the JSON
+    key. ``--clip`` alone spells its values otherwise, and shows its
+    field's help."""
     parser = cli.build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["factorize", "--help"])
-    shown = " ".join(capsys.readouterr().out.split())
-    argv = ["factorize", "--input", "v.csv", "--out", "o", "--k", "2"]
-    for f, key in zip(fields(cls), cls.keys()):
-        flag = "--" + key.replace("_", "-")
-        default = "" if f.default is MISSING else f" (default {f.default})"
-        assert f"{flag} {key.upper()} {f.metadata['help']}{default}" in shown
-        argv += [flag, "3"]
-    args = parser.parse_args(argv)
-    for f, key in zip(fields(cls), cls.keys()):
-        assert type(getattr(args, key)) is f.type and getattr(args, key) == 3
+    commands, defaults = RECORD_FLAGS[cls]
+    for command in commands:
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        shown = " ".join(capsys.readouterr().out.split())
+        argv = [command, "--input", "v.csv", "--k", "2"] if command == "factorize" else [command]
+        argv += ["--out", "o"]
+        flagged = [(f, key) for f, key in zip(fields(cls), cls.keys()) if key != "clip_mode"]
+        for f, key in flagged:
+            flag = "--" + key.replace("_", "-")
+            default = defaults.get(key, f.default)
+            default = "" if default is MISSING else f" (default {default})"
+            assert f"{flag} {key.upper()} {f.metadata['help']}{default}" in shown
+            argv += [flag, "3"]
+        if cls is SyntheticSpec:
+            clip = "--clip {absolute,max-zero} how negatives after noise are made nonnegative (default max-zero)"
+            assert clip in shown
+        args = parser.parse_args(argv)
+        for f, key in flagged:
+            assert type(getattr(args, key)) is f.type and getattr(args, key) == 3
 
 
 def test_score_at_huge_scale_prints_nothing_on_stderr(tmp_path, cli_env):
@@ -583,7 +609,7 @@ def test_any_json_input_exits_0_1_or_2(spec, variants):
     ends in an exit code of the documented contract, never an exception."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
-        path.write_text(spec)
+        path.write_text(spec, encoding="utf-8")
         common = ["--repeats", "1", "--max-iter", "1"]
         assert main(["bench", "--spec", str(path), *common, "--out", str(Path(tmp) / "a")]) in (0, 1, 2)
         assert main([

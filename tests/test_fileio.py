@@ -3,6 +3,8 @@
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -25,7 +27,7 @@ from palmnmf.fileio import save_json
 def load_matrix_oracle(path):
     """Reference parser: the package's token-by-token reader, kept as the
     oracle for load_matrix's values and its ParseError contract."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError(f"{path}: empty matrix file")
     rows = []
@@ -171,9 +173,37 @@ class TestLoadMatrix:
         # str.splitlines would also break at these; here each stays inside
         # its token.
         for sep in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
-            f.write_text(f"1{sep}2\n")
+            f.write_text(f"1{sep}2\n", encoding="utf-8")
             with pytest.raises(ParseError, match="line 1, column 1: invalid number"):
                 load_matrix(f)
+
+    def test_reads_utf8_whatever_the_locale(self, tmp_path, cli_env):
+        """Under the C locale, where open() would decode ASCII, files are
+        still read as UTF-8, and a byte that is not UTF-8 is reported as
+        a lone surrogate."""
+        digit, byte, spec = tmp_path / "digit.csv", tmp_path / "byte.csv", tmp_path / "spec.json"
+        digit.write_bytes("\u0661,2\n".encode())
+        byte.write_bytes(b"1,\xff\n")
+        spec.write_bytes(b'"\xff"')
+        script = (
+            "import sys\n"
+            "from palmnmf.fileio import load_json, load_matrix\n"
+            "print(load_matrix(sys.argv[1]).tolist())\n"
+            "for read, path in ((load_matrix, sys.argv[2]), (load_json, sys.argv[3])):\n"
+            "    try:\n"
+            "        read(path)\n"
+            "    except ValueError as exc:\n"
+            "        print(ascii(str(exc)))\n"
+        )
+        env = {**cli_env, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(digit), str(byte), str(spec)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        matrix, byte_error, spec_error = result.stdout.splitlines()
+        assert matrix == "[[1.0, 2.0]]"
+        assert byte_error == ascii(f"{byte}: line 1, column 2: invalid number '\\udcff'")
+        assert "'utf-8' codec can't decode byte 0xff" in spec_error
 
     def test_wide_first_line_is_a_ragged_row(self, tmp_path):
         # 200 001 values on the first line and as many lines: sizing the
@@ -369,6 +399,13 @@ finite_tokens = st.one_of(formatted_doubles, digit_strings).filter(lambda t: mat
 class TestDecoderValues:
     """The decoder's doubles, bitwise against float()."""
 
+    def test_low_significand_words_are_every_other_uint64(self):
+        # _decode reads each long double's low 64 bits so; the layout is
+        # the 16-byte one that _DECODER requires.
+        x = np.array([1.0, 3.0, 2.0**63], dtype=np.longdouble)
+        x[2] += 1
+        assert x.view(np.uint64)[::2].tolist() == [2**63, 3 * 2**62, 2**63 + 1]
+
     @pytest.mark.parametrize("tokens", DECODER_CASES.values(), ids=list(DECODER_CASES))
     def test_cases(self, tmp_path, tokens):
         got, want = decode_column(tmp_path / "m.csv", with_negatives(tokens))
@@ -456,7 +493,7 @@ class TestDecoderStructure:
         monkeypatch.setattr(fileio, "_BLOCK", block)
         monkeypatch.setattr(fileio, "_DECODER", decoder)
         path = tmp_path / "m.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert parse_outcome(load_matrix, path) == parse_outcome(load_matrix_oracle, path)
 
     @pytest.mark.parametrize("block", [1, 5, fileio._BLOCK])

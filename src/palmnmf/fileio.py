@@ -376,7 +376,7 @@ def _encode(x, first, ncols):
     shifted = unshifted << np.uint64(8)
     shifted[1:] |= unshifted[:-1] >> np.uint64(56)  # column 31 is 0
     point = e + 8
-    shifted ^= (unshifted ^ shifted) & prefix[point].reshape(-1)
+    shifted ^= (unshifted ^ shifted) & prefix.take(point, axis=0).reshape(-1)
     text = shifted.view(np.uint8)
     rows = np.arange(0, n * _SLOT, _SLOT)
     text[rows + point] = ord(".")
@@ -392,8 +392,10 @@ def _encode(x, first, ncols):
         text.reshape(n, _SLOT)[slow] = formatted
         start[slow] = 0
         end[slow] = np.count_nonzero(formatted, axis=1)
-    text[rows + end] = np.where((first + 1 + np.arange(n)) % ncols, ord(","), ord("\n"))
-    return text[keep[start * _SLOT + end].view(bool).reshape(-1)]
+    seps = np.full(n, ord(","), np.uint8)
+    seps[(-first - 1) % ncols :: ncols] = ord("\n")  # entries that end a row
+    text[rows + end] = seps
+    return text[keep.take(start * _SLOT + end, axis=0).view(bool).reshape(-1)]
 
 
 @contextmanager

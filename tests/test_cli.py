@@ -567,6 +567,27 @@ def test_score_at_huge_scale_prints_nothing_on_stderr(tmp_path, cli_env):
     assert set(json.loads(result.stdout)) == {"dist_w", "dist_h", "permutation"}
 
 
+def test_factorize_bytes_repeat_on_threaded_blas(tmp_path, cli_env):
+    # A 1000x2000 V is above OpenBLAS's threading threshold, so v @ h.T and
+    # w.T @ v run on two threads, a path the small instances of acceptance
+    # 10 never take. The bytes are compared at one thread count only: they
+    # are not claimed to match across thread counts.
+    rng = np.random.default_rng(11)
+    save_matrix(rng.uniform(0, 1, (1000, 20)) @ rng.uniform(0, 1, (20, 2000)), tmp_path / "V.csv")
+    env = {**cli_env, "OPENBLAS_NUM_THREADS": "2"}
+    args = ["factorize", "--input", "V.csv", "--k", "20", "--lambda", "0.5", "--eta", "1",
+            "--max-iter", "2", "--out", "run"]
+    runs = []
+    for _ in range(2):
+        result = subprocess.run(
+            [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, cwd=tmp_path, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append((result.stdout, read_tree(tmp_path / "run")))
+    assert sorted(runs[0][1]) == ["H.csv", "W.csv", "manifest.json", "trace.csv"]
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--gamma1", "1e999")])
 def test_non_finite_solver_flag_fails_before_solving(flag, value, small_input, tmp_path, cli_env):
     out = tmp_path / "o"

@@ -9,6 +9,8 @@ hand-written table of edge values and messages.
 """
 
 import json
+import math
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from palmnmf import (
     difference_operator,
     nonneg_project,
     soft_threshold_nonneg,
+    solve,
 )
 from palmnmf.benchmark import CLIP_MODES
 
@@ -69,6 +72,44 @@ class TestDifferenceOperator:
     def test_too_small_names_its_argument(self):
         with pytest.raises(ValueError, match=r"at least 2 columns, got n=1$"):
             difference_operator(1)
+
+
+class TestDifferenceOperatorCache:
+    def test_same_n_shares_one_read_only_array(self):
+        g = difference_operator(6)
+        assert difference_operator(6) is g
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 2.0
+
+    def test_new_width_replaces_the_kept_one(self):
+        g4 = difference_operator(4)
+        g5 = difference_operator(5)
+        np.testing.assert_array_equal(g5, np.eye(5, 4) - np.eye(5, 4, -1))
+        assert difference_operator(5) is g5
+        assert difference_operator(4) is not g4
+        np.testing.assert_array_equal(difference_operator(4), g4)
+
+    def test_float_n_does_not_hit_the_int_entry(self):
+        difference_operator(n=5)
+        with pytest.raises(TypeError):
+            difference_operator(n=5.0)
+
+    def test_memory_refusal_after_a_small_n_is_kept(self):
+        g3 = difference_operator(3)
+        n = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8) + 2
+        with pytest.raises(ValueError, match=rf"^the difference operator \(n x n-1\) would be {n}x{n - 1}: "):
+            difference_operator(n)
+        assert difference_operator(3) is g3
+
+    def test_smoothed_solve_builds_the_operator_once(self):
+        # solve evaluates the objective at iteration 0, then calls grad_h
+        # and evaluate once each per iteration: one build, 2 m reuses.
+        difference_operator.cache_clear()
+        v = np.random.default_rng(3).uniform(size=(6, 9))
+        result = solve(v, ObjectiveParams(eta=0.5), SolverConfig(k=2, max_iter=7, tol=1e-300))
+        assert result.iterations == 7
+        info = difference_operator.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * result.iterations)
 
 
 class TestNonnegProject:

@@ -19,13 +19,10 @@ from .benchmark import (
 )
 from .errors import DomainError, NumericError, ParseError, ShapeError
 from .fileio import load_matrix, save_matrix
-from .linalg import (
-    difference_operator,
-    nonneg_project,
-    soft_threshold_nonneg,
-)
+from .linalg import nonneg_project, soft_threshold_nonneg
 from .objective import (
     ObjectiveParams,
+    difference_operator,
     evaluate,
     grad_h,
     grad_w,

@@ -22,6 +22,7 @@ summaries; everything else goes to stderr.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
@@ -82,15 +83,20 @@ def _spec_from_flags(args, path=None):
     """The spec of the --spec file at *path*, if any, then the synth flags
     given, checked before anything is drawn. Without a file, d, k and n
     default to _SIZES, and an unset --sigma to the truth's noise level."""
-    base = SyntheticSpec.from_dict(load_json(path)).to_dict() if path else _SIZES
     fixed = {} if args.clip is None else {"clip_mode": args.clip.replace("-", "_")}
-    draw_sigma = args.sigma is None and "sigma" not in base
-    if draw_sigma:
-        fixed["sigma"] = 0.0  # stands in until the truth is drawn
-    spec = _record(SyntheticSpec, args, base, **fixed)
-    if draw_sigma:
+    if path is not None:
+        return _record(SyntheticSpec, args, SyntheticSpec.from_dict(load_json(path)).to_dict(), **fixed)
+    spec = _record(SyntheticSpec, args, {**_SIZES, "sigma": 0.0}, **fixed)  # 0.0 stands in until the truth is drawn
+    if args.sigma is None:
         spec = replace(spec, sigma=default_sigma(*ground_truth(spec)))
     return spec
+
+
+def _out_dir(path):
+    """Make directory *path*, and its parents, unless it exists. The path
+    is not made a Path first, so that "" is refused rather than read as "."."""
+    os.makedirs(path, exist_ok=True)
+    return Path(path)
 
 
 def cmd_factorize(args):
@@ -98,8 +104,7 @@ def cmd_factorize(args):
     config = _record(SolverConfig, args)
     v = load_matrix(args.input)
     result = solve(v, params, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     matrices = {"W.csv": result.w, "H.csv": result.h, "trace.csv": list(enumerate(result.objective_trace))}
     for name, m in matrices.items():
         save_matrix(m, out / name)
@@ -126,8 +131,7 @@ def cmd_factorize(args):
 def cmd_synth(args):
     spec = _spec_from_flags(args)
     matrices = dict(zip(("V.csv", "W_true.csv", "H_true.csv"), generate(spec)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for name, m in matrices.items():
         save_matrix(m, out / name)
     save_json(spec.to_dict(), out / "spec.json")
@@ -192,8 +196,7 @@ def cmd_bench(args):
             }
         )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     save_text("\n".join(csv_lines) + "\n", out / "comparison.csv")
     table = {"spec": spec.to_dict(), "config": config.to_dict(), "repeats": args.repeats, "variants": table_variants}
     save_json(table, out / "comparison.json")

@@ -430,7 +430,8 @@ def save_json(obj, path):
 def load_json(path):
     """Read a JSON file; a decode or syntax error names *path*."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return parse_json(text, path)

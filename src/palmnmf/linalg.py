@@ -4,11 +4,9 @@ config records.
 Matrices are 2-D float64 numpy arrays throughout the package. The
 validators here (``as_matrix``, ``require_allocatable`` and ``Record``)
 run only where data enters; the prox maps are step kernels that trust
-theirs, and ``difference_operator`` checks only its own n. Its cache is
-the one piece of state the package shares between calls.
+theirs.
 """
 
-import functools
 import math
 import numbers
 import operator
@@ -135,30 +133,6 @@ class Record:
             if key not in d and f.default is MISSING:
                 raise ValueError(f"{what} is missing required key {key!r}")
         return cls(**{f.name: d[key] for key, f in by_key.items() if key in d})
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def difference_operator(n):
-    """The n x (n-1) matrix D with D[j,j]=1, D[j+1,j]=-1, zero elsewhere.
-
-    Right-multiplying takes adjacent-column differences:
-    (M @ D)[:, j] == M[:, j] - M[:, j+1]. An n below 2, or whose D would
-    not fit in physical memory, is a ValueError raised before allocating.
-
-    The last D built is kept and returned, read-only, to every later call
-    with the same n: one array of 8 n (n-1) bytes (32 MB at n = 2000)
-    until another n is asked for or the process exits. Errors are not
-    kept, so both checks run on every call that builds.
-    """
-    if n < 2:
-        raise ValueError(f"the difference operator needs at least 2 columns, got n={n}")
-    require_allocatable("the difference operator (n x n-1)", n, n - 1)
-    d = np.zeros((n, n - 1))
-    idx = np.arange(n - 1)
-    d[idx, idx] = 1.0
-    d[idx + 1, idx] = -1.0
-    d.flags.writeable = False
-    return d
 
 
 def nonneg_project(m):

@@ -12,17 +12,17 @@ proximal step; ``grad_w``/``grad_h`` differentiate everything else.
 
 ``evaluate`` validates its matrices. The gradients and step moduli are
 step kernels that trust theirs (finite float64 2-D arrays of consistent
-shape, as ``solve`` passes them) and check only scalars. ``difference_operator``
-checks h's width: at least 2 columns, and a D that fits in physical memory.
+shape, as ``solve`` passes them) and check only scalars.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import Record, as_matrix, difference_operator
+from .linalg import Record, as_matrix, require_allocatable
 
 # Floor for step moduli so a collapsed factor never yields a zero divisor.
 LIPSCHITZ_FLOOR = 1e-12
@@ -36,6 +36,30 @@ class ObjectiveParams(Record):
     eta: float = field(default=0.0, metadata={"ge": 0, "help": "smoothness weight on H"})
     beta_w: float = field(default=0.1, metadata={"ge": 0, "help": "ridge weight on W"})
     beta_h: float = field(default=0.1, metadata={"ge": 0, "help": "ridge weight on H"})
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def difference_operator(n):
+    """The n x (n-1) matrix D with D[j,j]=1, D[j+1,j]=-1, zero elsewhere.
+
+    Right-multiplying takes adjacent-column differences:
+    (M @ D)[:, j] == M[:, j] - M[:, j+1]. An n below 2, or whose D would
+    not fit in physical memory, is a ValueError raised before allocating.
+
+    The last D built is kept and returned, read-only, to every later call
+    with the same n: one array of 8 n (n-1) bytes (32 MB at n = 2000)
+    until another n is asked for or the process exits. Errors are not
+    kept, so both checks run on every call that builds.
+    """
+    if n < 2:
+        raise ValueError(f"the difference operator needs at least 2 columns, got n={n}")
+    require_allocatable("the difference operator (n x n-1)", n, n - 1)
+    d = np.zeros((n, n - 1))
+    idx = np.arange(n - 1)
+    d[idx, idx] = 1.0
+    d[idx + 1, idx] = -1.0
+    d.flags.writeable = False
+    return d
 
 
 def evaluate(v, w, h, params):

@@ -211,7 +211,7 @@ class TestSynth:
         ])
         assert rc == 0
         table = json.loads((bench_out / "comparison.json").read_text())
-        assert table["spec"]["d"] == 8
+        assert table["spec"] == json.loads((out / "spec.json").read_text())  # sigma too: a file's sigma is not redrawn
 
 
 class TestScore:
@@ -391,11 +391,11 @@ class TestDefaults:
         assert [v["params"] for v in table["variants"]] == [p.to_dict() for p in default_variants()]
 
 
-def usage_error(args, cli_env):
+def usage_error(args, cli_env, cwd=None):
     """Run the CLI as a child process, check that it reports a usage error
     (exit 2, one ``error:`` line on stderr, no traceback) and return stderr."""
     result = subprocess.run(
-        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env
+        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env, cwd=cwd
     )
     assert result.returncode == 2
     assert len(result.stderr.splitlines()) == 1
@@ -639,20 +639,36 @@ def test_any_json_input_exits_0_1_or_2(spec, variants):
         ]) in (0, 1, 2)
 
 
+SMALL = ["--d", "4", "--k", "2", "--n", "6"]
+QUICK = ["--repeats", "1", "--max-iter", "1"]
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, named",
     [
-        ["factorize", "--input", "{dir}", "--k", "2", "--out", "{tmp}/o"],
-        ["bench", "--d", "4", "--k", "2", "--n", "6", "--variants", "{dir}", "--out", "{tmp}/o"],
-        ["synth", "--d", "4", "--k", "2", "--n", "6", "--out", "{file}"],
+        (["factorize", "--input", "{dir}", "--k", "2", "--out", "{tmp}/o"], "Is a directory"),
+        (["bench", *SMALL, "--variants", "{dir}", "--out", "{tmp}/o"], "Is a directory"),
+        (["synth", *SMALL, "--out", "{file}"], "File exists"),
+        (["bench", "--spec", "", *QUICK, "--out", "{tmp}/o"], "''"),
+        (["bench", *SMALL, "--variants", "", "--out", "{tmp}/o"], "''"),
+        (["factorize", "--input", "V.csv", "--k", "1", "--out", ""], "''"),
+        (["synth", *SMALL, "--out", ""], "''"),
+        (["bench", *SMALL, *QUICK, "--out", ""], "''"),
     ],
-    ids=["factorize-input-dir", "bench-variants-dir", "synth-out-file"],
+    ids=[
+        "factorize-input-dir", "bench-variants-dir", "synth-out-file", "bench-spec-empty",
+        "bench-variants-empty", "factorize-out-empty", "synth-out-empty", "bench-out-empty",
+    ],
 )
-def test_path_usage_errors_exit_2(args, tmp_path, cli_env):
+def test_path_usage_errors_exit_2(args, named, tmp_path, cli_env):
+    # Run in tmp_path, so that an empty path read as "." would write there.
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")
+    save_matrix(np.ones((2, 3)), tmp_path / "V.csv")
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
     paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "tmp": tmp_path}
-    usage_error([a.format(**paths) for a in args], cli_env)
+    assert named in usage_error([a.format(**paths) for a in args], cli_env, cwd=tmp_path)
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
 class TestTopLevel:

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-import palmnmf.linalg as linalg
+import palmnmf.objective as objective
 from palmnmf import (
     DomainError,
     ObjectiveParams,
@@ -247,7 +247,7 @@ def test_difference_operator_beyond_memory_refused_by_every_caller(caller, monke
     def no_allocation(*args, **kwargs):
         raise AssertionError("the operator was allocated")
 
-    monkeypatch.setattr(linalg.np, "zeros", no_allocation)
+    monkeypatch.setattr(objective.np, "zeros", no_allocation)
     v, w, h = np.ones((1, n)), np.ones((1, 1)), np.ones((1, n))
     calls = {
         "difference_operator": lambda: difference_operator(n),

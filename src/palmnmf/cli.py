@@ -21,6 +21,7 @@ summaries; everything else goes to stderr.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -93,18 +94,27 @@ def _spec_from_flags(args, path=None):
 
 
 def _out_dir(path):
-    """Make directory *path*, and its parents, unless it exists. The path
-    is not made a Path first, so that "" is refused rather than read as "."."""
-    os.makedirs(path, exist_ok=True)
-    return Path(path)
+    """Output directory *path*, refused before any work if it cannot be
+    one: empty (rather than read as "."), an existing file, or under one,
+    with makedirs's error. Nothing is made here; each command makes the
+    directory once its work has succeeded, so a failed run leaves none."""
+    if not path:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    out = Path(path)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        code = errno.EEXIST if found == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
+    return out
 
 
 def cmd_factorize(args):
+    out = _out_dir(args.out)
     params = _record(ObjectiveParams, args)
     config = _record(SolverConfig, args)
     v = load_matrix(args.input)
     result = solve(v, params, config)
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     matrices = {"W.csv": result.w, "H.csv": result.h, "trace.csv": list(enumerate(result.objective_trace))}
     for name, m in matrices.items():
         save_matrix(m, out / name)
@@ -129,9 +139,10 @@ def cmd_factorize(args):
 
 
 def cmd_synth(args):
+    out = _out_dir(args.out)
     spec = _spec_from_flags(args)
     matrices = dict(zip(("V.csv", "W_true.csv", "H_true.csv"), generate(spec)))
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, m in matrices.items():
         save_matrix(m, out / name)
     save_json(spec.to_dict(), out / "spec.json")
@@ -163,6 +174,7 @@ def _load_variants(value):
 
 
 def cmd_bench(args):
+    out = _out_dir(args.out)
     spec = _spec_from_flags(args, args.spec)
     variants = _load_variants(args.variants)
     # --seed is the data seed here; the config's seed comes from --init-seed,
@@ -196,7 +208,7 @@ def cmd_bench(args):
             }
         )
 
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_text("\n".join(csv_lines) + "\n", out / "comparison.csv")
     table = {"spec": spec.to_dict(), "config": config.to_dict(), "repeats": args.repeats, "variants": table_variants}
     save_json(table, out / "comparison.json")

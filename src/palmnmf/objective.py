@@ -26,6 +26,12 @@ from .linalg import Record, as_matrix, require_allocatable
 
 # Floor for step moduli so a collapsed factor never yields a zero divisor.
 LIPSCHITZ_FLOOR = 1e-12
+# Entries of the residual v - w h that evaluate forms at once: 256 KiB of
+# float64, which stay in a core's L2 cache with their rows of v. Of 2**14
+# to 2**17, 2**15 was fastest at 1000x2000, k=20 (5.2 ms against 6.9 ms for
+# the whole residual, one core); 2**14 lost to per-block overhead at 2.5
+# blocks.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,11 +88,18 @@ def evaluate(v, w, h, params):
         raise DomainError("w must be nonnegative")
     if (h < 0).any():
         raise DomainError("h must be nonnegative")
-    # One D x N temporary, not three: the product, then the residual,
-    # then its square, all in place.
-    r = w @ h
-    np.subtract(v, r, out=r)
-    value = float(np.sum(np.square(r, out=r)))
+    # The fit term in blocks of whole rows, at most _BLOCK entries (or one
+    # row): product, residual and square in place in one block. Up to
+    # _BLOCK entries that is one block and one pairwise sum, as over the
+    # whole residual; above, each block's sum has fewer terms and fsum adds
+    # them with one rounding, so the error bound is no worse (Higham 1993).
+    rows = max(1, _BLOCK // v.shape[1])
+    fit = []
+    for i in range(0, v.shape[0], rows):
+        r = w[i : i + rows] @ h
+        np.subtract(v[i : i + rows], r, out=r)
+        fit.append(float(np.sum(np.square(r, out=r))))
+    value = math.fsum(fit)
     if params.eta > 0:
         hd = h @ difference_operator(h.shape[1])
         value += params.eta * float(np.sum(hd * hd))

@@ -654,10 +654,17 @@ QUICK = ["--repeats", "1", "--max-iter", "1"]
         (["factorize", "--input", "V.csv", "--k", "1", "--out", ""], "''"),
         (["synth", *SMALL, "--out", ""], "''"),
         (["bench", *SMALL, *QUICK, "--out", ""], "''"),
+        (["factorize", "--input", "V.csv", "--k", "1", "--out", "{file}"], "File exists"),
+        (["factorize", "--input", "V.csv", "--k", "1", "--out", "{file}/o"], "Not a directory"),
+        (["synth", *SMALL, "--out", "{file}/o/p"], "Not a directory"),
+        (["bench", *SMALL, *QUICK, "--out", "{file}"], "File exists"),
+        (["bench", *SMALL, *QUICK, "--out", "{file}/o"], "Not a directory"),
     ],
     ids=[
         "factorize-input-dir", "bench-variants-dir", "synth-out-file", "bench-spec-empty",
         "bench-variants-empty", "factorize-out-empty", "synth-out-empty", "bench-out-empty",
+        "factorize-out-file", "factorize-out-under-file", "synth-out-under-file", "bench-out-file",
+        "bench-out-under-file",
     ],
 )
 def test_path_usage_errors_exit_2(args, named, tmp_path, cli_env):
@@ -669,6 +676,26 @@ def test_path_usage_errors_exit_2(args, named, tmp_path, cli_env):
     paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "tmp": tmp_path}
     assert named in usage_error([a.format(**paths) for a in args], cli_env, cwd=tmp_path)
     assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["factorize", "--input", "V.csv", "--k", "1"], ["synth", *SMALL], ["bench", *SMALL, *QUICK]],
+    ids=["factorize", "synth", "bench"],
+)
+@pytest.mark.parametrize("out", ["", "{file}", "{file}/o"], ids=["empty", "file", "under-file"])
+def test_unusable_out_refused_before_the_work(command, out, tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    save_matrix(np.ones((2, 3)), tmp_path / "V.csv")
+    monkeypatch.chdir(tmp_path)
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    for name in ("load_matrix", "solve", "generate", "run_comparison"):
+        monkeypatch.setattr(cli, name, work)
+    assert main([*command, "--out", out.format(file=tmp_path / "file")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTopLevel:

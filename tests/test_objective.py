@@ -8,6 +8,7 @@ negative entries that perturbation produces).
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,12 +102,17 @@ class TestEvaluate:
 
     def test_matches_independent_form_plus_l1(self):
         rng = np.random.default_rng(42)
-        for _ in range(10):
-            d, k, n = rng.integers(2, 7, size=3)
+        block = objective._BLOCK
+        # Ten small inputs, then the residual in several blocks: tall; wide,
+        # one row per block (without smoothness, whose dense operator would
+        # be n x n-1); and D x N just over a block, a last block of one row.
+        shapes = [tuple(rng.integers(2, 7, size=3)) for _ in range(10)]
+        shapes += [(block // 2, 3, 8), (3, 2, block + 5), (block // 7 + 1, 2, 7)]
+        for d, k, n in shapes:
             v = rng.uniform(0, 1, (d, n))
             w = rng.uniform(0, 1, (d, k))
             h = rng.uniform(0, 1, (k, n))
-            params = ObjectiveParams(lam=0.3, eta=0.7, beta_w=0.05, beta_h=0.2)
+            params = ObjectiveParams(lam=0.3, eta=0.7 if n <= block else 0.0, beta_w=0.05, beta_h=0.2)
             expected = smooth_part(v, w, h, params) + params.lam * np.abs(w).sum()
             assert evaluate(v, w, h, params) == pytest.approx(expected, rel=1e-12)
 
@@ -127,6 +133,20 @@ class TestEvaluate:
             assert evaluate(v, w, h, params) == expected
             for m, copy in zip((v, w, h), copies):
                 assert m.tobytes() == copy.tobytes()
+
+    def test_temporaries_bounded(self):
+        # The residual is formed in blocks, not as one D x N float64 array;
+        # what is left is mostly the D x N bool of the finiteness check.
+        rng = np.random.default_rng(3)
+        d, k, n = 1000, 20, 2000
+        v, w, h = rng.uniform(0, 1, (d, n)), rng.uniform(0, 1, (d, k)), rng.uniform(0, 1, (k, n))
+        tracemalloc.start()
+        try:
+            evaluate(v, w, h, ObjectiveParams(lam=0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * n / 4
 
     def test_rejects_negative_factors(self):
         v = np.ones((2, 2))

@@ -93,13 +93,18 @@ def evaluate(v, w, h, params):
     # _BLOCK entries that is one block and one pairwise sum, as over the
     # whole residual; above, each block's sum has fewer terms and fsum adds
     # them with one rounding, so the error bound is no worse (Higham 1993).
+    # Finite block sums whose total overflows make fsum raise; the total is
+    # then inf, as one sum over the whole residual would give.
     rows = max(1, _BLOCK // v.shape[1])
     fit = []
     for i in range(0, v.shape[0], rows):
         r = w[i : i + rows] @ h
         np.subtract(v[i : i + rows], r, out=r)
         fit.append(float(np.sum(np.square(r, out=r))))
-    value = math.fsum(fit)
+    try:
+        value = math.fsum(fit)
+    except OverflowError:
+        value = math.inf
     if params.eta > 0:
         hd = h @ difference_operator(h.shape[1])
         value += params.eta * float(np.sum(hd * hd))

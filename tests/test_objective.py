@@ -6,6 +6,7 @@ slicing so it shares no code with the module under test, and accepts the
 negative entries that perturbation produces).
 """
 
+import itertools
 import math
 import os
 import tracemalloc
@@ -106,9 +107,9 @@ class TestEvaluate:
         # Ten small inputs, then the residual in several blocks: tall; wide,
         # one row per block (without smoothness, whose dense operator would
         # be n x n-1); and D x N just over a block, a last block of one row.
-        shapes = [tuple(rng.integers(2, 7, size=3)) for _ in range(10)]
-        shapes += [(block // 2, 3, 8), (3, 2, block + 5), (block // 7 + 1, 2, 7)]
-        for d, k, n in shapes:
+        small = (rng.integers(2, 7, size=3) for _ in range(10))
+        blocks = [(block // 2, 3, 8), (3, 2, block + 5), (block // 7 + 1, 2, 7)]
+        for d, k, n in itertools.chain(small, blocks):
             v = rng.uniform(0, 1, (d, n))
             w = rng.uniform(0, 1, (d, k))
             h = rng.uniform(0, 1, (k, n))
@@ -147,6 +148,12 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 8 * d * n / 4
+
+    def test_total_overflowing_over_blocks_is_inf(self):
+        # Three blocks of two rows, each summing to about 1.2e308.
+        n = objective._BLOCK // 2
+        v = np.full((6, n), 6e151)
+        assert evaluate(v, np.zeros((6, 1)), np.zeros((1, n)), ObjectiveParams()) == math.inf
 
     def test_rejects_negative_factors(self):
         v = np.ones((2, 2))

@@ -288,6 +288,15 @@ class TestSolve:
         assert exc_info.value.iteration == 0
         assert "iteration 0" in str(exc_info.value)
 
+    def test_overflow_over_blocks_reports_iteration(self):
+        # Each of evaluate's three row blocks sums to a finite value; the
+        # objective's total does not.
+        v = np.full((6, 2**14), 6e151)
+        with pytest.raises(NumericError) as exc_info:
+            solve(v, ObjectiveParams(), SolverConfig(k=2, max_iter=50))
+        assert exc_info.value.iteration == 0
+        assert "iteration 0" in str(exc_info.value)
+
     def test_step_failure_reports_its_iteration(self, monkeypatch):
         real_step = solver_module.palm_step
         calls = []

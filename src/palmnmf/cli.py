@@ -16,8 +16,9 @@ but ``--clip`` is made from its field: type, help and default, or the
 CLI's own default where it has one (``--d``, ``--k``, ``--n``, ``--sigma``).
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
-usage or validation error. stdout carries only the documented JSON
-summaries; everything else goes to stderr.
+usage or validation error (``_USAGE_ERRORS``); ``main`` alone maps an
+error to its code and prints it as one ``error:`` line. stdout carries
+only the documented JSON summaries; everything else goes to stderr.
 """
 
 import argparse
@@ -95,13 +96,14 @@ def _spec_from_flags(args, path=None):
 
 def _out_dir(path):
     """Output directory *path*, refused before any work if it cannot be
-    one: empty (rather than read as "."), an existing file, or under one,
-    with makedirs's error. Nothing is made here; each command makes the
-    directory once its work has succeeded, so a failed run leaves none."""
+    one: empty (rather than read as "."), an existing file or dangling
+    symbolic link, or under one, with makedirs's error. Nothing is made
+    here; each command makes the directory once its work has succeeded,
+    so a failed run leaves none."""
     if not path:
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     out = Path(path)
-    found = next(p for p in (out, *out.parents) if p.exists())
+    found = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not found.is_dir():
         code = errno.EEXIST if found == out else errno.ENOTDIR
         raise OSError(code, os.strerror(code), path)
@@ -135,7 +137,6 @@ def cmd_factorize(args):
             }
         )
     )
-    return 0
 
 
 def cmd_synth(args):
@@ -147,7 +148,6 @@ def cmd_synth(args):
         save_matrix(m, out / name)
     save_json(spec.to_dict(), out / "spec.json")
     print(json.dumps({"files": [*matrices, "spec.json"], "sigma": spec.sigma}))
-    return 0
 
 
 def cmd_score(args):
@@ -158,7 +158,6 @@ def cmd_score(args):
         load_matrix(args.h_true),
     )
     print(json.dumps(asdict(score)))
-    return 0
 
 
 def _load_variants(value):
@@ -217,7 +216,6 @@ def cmd_bench(args):
     if all(run.error is not None for vr in results for run in vr.runs):
         print("all runs failed", file=sys.stderr)
         return 1
-    return 0
 
 
 def build_parser():
@@ -269,26 +267,22 @@ def build_parser():
     return parser
 
 
+# Usage errors, which exit 2; every other error that main catches exits 1.
+_USAGE_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
-        return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # a failed allocation outside numpy has no message
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+        return args.func(args) or 0
+    except (NumericError, OSError, ValueError, MemoryError) as exc:
+        bare_memory = isinstance(exc, MemoryError) and not str(exc)  # a failed allocation outside numpy
+        print(f"error: {'out of memory' if bare_memory else exc}", file=sys.stderr)
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
 
 
 def run():

@@ -35,6 +35,8 @@ _BOUNDS = {
 
 def as_matrix(a, name="matrix"):
     """Validate *a* as a dense real matrix: 2-D, non-empty, finite float64."""
+    if np.iscomplexobj(a):  # the cast would drop the imaginary part with only a warning
+        raise ValueError(f"{name} must be real, got complex entries")
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got {m.ndim}-D")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, files, exit codes, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -18,6 +19,8 @@ import palmnmf.cli as cli
 from palmnmf import (
     NumericError,
     ObjectiveParams,
+    ParseError,
+    ShapeError,
     SolverConfig,
     SyntheticSpec,
     default_variants,
@@ -116,29 +119,31 @@ class TestFactorize:
         assert rc == 1
         assert "iteration 3" in capsys.readouterr().err
 
-    def test_out_of_memory_exits_1(self, small_input, tmp_path, capsys, monkeypatch):
-        # Raised, not provoked: whether a huge allocation fails at once
-        # depends on the machine's overcommit policy.
-        def out_of_memory(v, params, config):
-            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 99999)")
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            # Raised, not provoked: whether a huge allocation fails at once
+            # depends on the machine's overcommit policy.
+            (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 99999)"), 1,
+             "Unable to allocate 74.5 GiB for an array with shape (100000, 99999)"),
+            (MemoryError(), 1, "out of memory"),  # what Python raises when an allocation outside numpy fails
+            (NumericError(""), 1, ""),
+            (PermissionError(errno.EACCES, "Permission denied", "W.csv"), 1, "[Errno 13] Permission denied: 'W.csv'"),
+            (OSError("device not ready"), 1, "device not ready"),
+            (ShapeError("w is 6x2 but h is 3x10"), 2, "w is 6x2 but h is 3x10"),
+            (ParseError("V.csv: line 2: bad", line=2), 2, "V.csv: line 2: bad"),
+        ],
+        ids=["memory", "memory-no-message", "numeric-no-message", "permission", "oserror", "shape", "parse"],
+    )
+    def test_error_in_the_work_is_one_line(self, error, code, message, small_input, tmp_path, capsys, monkeypatch):
+        def fail(v, params, config):
+            raise error
 
-        monkeypatch.setattr(cli, "solve", out_of_memory)
+        monkeypatch.setattr(cli, "solve", fail)
         out = tmp_path / "o"
         rc = main(["factorize", "--input", str(small_input), "--k", "2", "--eta", "1", "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array with shape (100000, 99999)\n"
-        assert not out.exists()
-
-    def test_out_of_memory_without_message_exits_1(self, small_input, tmp_path, capsys, monkeypatch):
-        # What Python raises when an allocation outside numpy fails.
-        def out_of_memory(v, params, config):
-            raise MemoryError()
-
-        monkeypatch.setattr(cli, "solve", out_of_memory)
-        out = tmp_path / "o"
-        rc = main(["factorize", "--input", str(small_input), "--k", "2", "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: out of memory\n"
+        assert rc == code
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_reruns_byte_identical(self, small_input, tmp_path):
@@ -680,11 +685,18 @@ def test_path_usage_errors_exit_2(args, named, tmp_path, cli_env):
 )
 @pytest.mark.parametrize(
     "out, named",
-    [("", "No such file or directory: ''"), ("{file}", "File exists"), ("{file}/o/p", "Not a directory")],
-    ids=["empty", "file", "under-file"],
+    [
+        ("", "No such file or directory: ''"),
+        ("{file}", "File exists"),
+        ("{file}/o/p", "Not a directory"),
+        ("{link}", "File exists"),
+        ("{link}/o", "Not a directory"),
+    ],
+    ids=["empty", "file", "under-file", "dangling-link", "under-dangling-link"],
 )
 def test_unusable_out_refused_before_the_work(command, out, named, tmp_path, monkeypatch, capsys):
     (tmp_path / "file").write_text("")
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
     save_matrix(np.ones((2, 3)), tmp_path / "V.csv")
     monkeypatch.chdir(tmp_path)
 
@@ -693,7 +705,7 @@ def test_unusable_out_refused_before_the_work(command, out, named, tmp_path, mon
 
     for name in ("load_matrix", "solve", "generate", "run_comparison"):
         monkeypatch.setattr(cli, name, work)
-    assert main([*command, "--out", out.format(file=tmp_path / "file")]) == 2
+    assert main([*command, "--out", out.format(file=tmp_path / "file", link=tmp_path / "link")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and err.count("\n") == 1
 

@@ -245,8 +245,10 @@ class TestSolve:
             ([[1.0, -np.inf]], "non-finite"),
             ([1.0, 2.0], "2-D"),
             (np.zeros((0, 3)), "non-empty"),
+            ([[1 + 1j, 2.0]], "real"),
+            (np.ones((2, 2)) * 1j, "real"),
         ],
-        ids=["nan", "inf", "-inf", "1-D", "empty"],
+        ids=["nan", "inf", "-inf", "1-D", "empty", "complex-list", "complex-array"],
     )
     def test_rejects_malformed_input(self, v, match):
         # solve is the only check in front of the step kernels

@@ -9,6 +9,9 @@ where D is the adjacent-column difference operator, ||.||_1 is the
 entrywise sum of absolute values, and w, h are kept nonnegative by the
 solver. The l1 term is non-smooth and is handled by the solver's
 proximal step; ``grad_w``/``grad_h`` differentiate everything else.
+``grad_h`` multiplies h by the dense D and applies D^T to the product
+by its two-term stencil: each entry of (h D) D^T is one difference of
+two adjacent entries of h D.
 
 ``evaluate`` validates its matrices. The gradients and step moduli are
 step kernels that trust theirs (finite float64 2-D arrays of consistent
@@ -100,17 +103,17 @@ def evaluate(v, w, h, params):
     for i in range(0, v.shape[0], rows):
         r = w[i : i + rows] @ h
         np.subtract(v[i : i + rows], r, out=r)
-        fit.append(float(np.sum(np.square(r, out=r))))
+        fit.append(float(np.square(r, out=r).sum()))
     try:
         value = math.fsum(fit)
     except OverflowError:
         value = math.inf
     if params.eta > 0:
         hd = h @ difference_operator(h.shape[1])
-        value += params.eta * float(np.sum(hd * hd))
-    value += params.lam * float(np.sum(np.abs(w)))
-    value += params.beta_w * float(np.sum(w * w))
-    value += params.beta_h * float(np.sum(h * h))
+        value += params.eta * float((hd * hd).sum())
+    value += params.lam * float(w.sum())  # w >= 0 was checked above: no abs
+    value += params.beta_w * float((w * w).sum())
+    value += params.beta_h * float((h * h).sum())
     return value
 
 
@@ -126,13 +129,29 @@ def grad_w(v, w, h, params):
 def grad_h(v, w, h, params):
     """Gradient of the smooth part of the cost with respect to h.
 
-    2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h. Inputs are trusted;
-    with eta > 0, ``difference_operator`` checks h's width.
+    2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h. h D is a product
+    with the dense D; D^T is applied to it by its stencil: column j of
+    (h D) D^T is (h D)[:, j] - (h D)[:, j-1], less the terms past either
+    end. Inputs are trusted; with eta > 0, ``difference_operator`` checks
+    h's width.
     """
     g = (w.T @ w) @ h - w.T @ v + params.beta_h * h
     if params.eta > 0:
-        d = difference_operator(h.shape[1])
-        g = g + params.eta * ((h @ d) @ d.T)
+        hd = h @ difference_operator(h.shape[1])
+        # Each entry is the one difference, or the one term, that the dense
+        # hd @ D^T rounds to, so the values are equal; only the sign of a
+        # zero may differ (the last column's -hd gives -0.0 where BLAS gives
+        # +0.0). g + (+-0) differs only where g is -0.0, and g, which ends in
+        # + beta_h h, is not: h holds no -0.0 on any solver path (initialize
+        # draws from [0, s]; np.maximum(y, 0.0) is +0.0 for y = +-0). So g is
+        # the dense product's bit for bit. Plain slice assignment throughout:
+        # numpy 2.4.6's np.negative(x, out=<strided view>) gives wrong values
+        # when x's stride is 8 elements.
+        hddt = np.empty_like(h)
+        hddt[:, 0] = hd[:, 0]
+        hddt[:, 1:-1] = hd[:, 1:] - hd[:, :-1]
+        hddt[:, -1] = -hd[:, -1]
+        g += params.eta * hddt
     return 2.0 * g
 
 
@@ -143,7 +162,7 @@ def lipschitz_w(h, params):
     since the spectral norm is bounded by the Frobenius norm. h is trusted.
     """
     gram = h @ h.T
-    value = 2.0 * float(np.sqrt(np.sum(gram * gram))) + 2.0 * params.beta_w
+    value = 2.0 * math.sqrt((gram * gram).sum()) + 2.0 * params.beta_w
     return max(value, LIPSCHITZ_FLOOR)
 
 
@@ -158,7 +177,7 @@ def lipschitz_h(w, n, params):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gram = w.T @ w
-    value = 2.0 * float(np.sqrt(np.sum(gram * gram))) + 2.0 * params.beta_h
+    value = 2.0 * math.sqrt((gram * gram).sum()) + 2.0 * params.beta_h
     if params.eta > 0 and n >= 2:
         value += 2.0 * params.eta * math.sqrt(6.0 * n - 8.0)
     return max(value, LIPSCHITZ_FLOOR)

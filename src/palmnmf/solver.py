@@ -139,8 +139,8 @@ def solve(v, params, config):
                 w_next, h_next = palm_step(v, w, h, params, config)
             except NumericError as exc:
                 raise NumericError(str(exc), iteration=k) from exc
-            step = math.sqrt(float(np.sum((w_next - w) ** 2)) + float(np.sum((h_next - h) ** 2)))
-            base = max(math.sqrt(float(np.sum(w * w)) + float(np.sum(h * h))), LIPSCHITZ_FLOOR)
+            step = math.sqrt(float(((w_next - w) ** 2).sum()) + float(((h_next - h) ** 2).sum()))
+            base = max(math.sqrt(float((w * w).sum()) + float((h * h).sum())), LIPSCHITZ_FLOOR)
             converged = step / base < config.tol
             w, h = w_next, h_next
         with np.errstate(over="ignore"):

@@ -117,6 +117,17 @@ class TestEvaluate:
             expected = smooth_part(v, w, h, params) + params.lam * np.abs(w).sum()
             assert evaluate(v, w, h, params) == pytest.approx(expected, rel=1e-12)
 
+    @staticmethod
+    def explicit(v, w, h, params):
+        """The cost by its formula, for inputs of at most one block."""
+        hd = h @ difference_operator(h.shape[1])
+        value = float(np.sum((v - w @ h) * (v - w @ h)))
+        value += params.eta * float(np.sum(hd * hd))
+        value += params.lam * float(np.sum(np.abs(w)))
+        value += params.beta_w * float(np.sum(w * w))
+        value += params.beta_h * float(np.sum(h * h))
+        return value
+
     def test_bitwise_explicit_formula_and_inputs_untouched(self):
         rng = np.random.default_rng(7)
         params = ObjectiveParams(lam=0.3, eta=0.7, beta_w=0.05, beta_h=0.2)
@@ -125,15 +136,23 @@ class TestEvaluate:
             w = rng.uniform(0, 1, (d, k))
             h = rng.uniform(0, 1, (k, n))
             copies = [m.copy() for m in (v, w, h)]
-            hd = h @ difference_operator(n)
-            expected = float(np.sum((v - w @ h) * (v - w @ h)))
-            expected += params.eta * float(np.sum(hd * hd))
-            expected += params.lam * float(np.sum(np.abs(w)))
-            expected += params.beta_w * float(np.sum(w * w))
-            expected += params.beta_h * float(np.sum(h * h))
-            assert evaluate(v, w, h, params) == expected
+            assert evaluate(v, w, h, params) == self.explicit(v, w, h, params)
             for m, copy in zip((v, w, h), copies):
                 assert m.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_l1_term_of_signed_zeros_bitwise(self, lam):
+        # The l1 term sums w without abs; w holding -0.0 and +0.0 (all of
+        # it, or some rows) gives the formula's value, sign of zero included.
+        rng = np.random.default_rng(8)
+        v = rng.uniform(0, 1, (6, 5))
+        h = rng.uniform(0, 1, (3, 5))
+        params = ObjectiveParams(lam=lam, eta=0.7, beta_w=0.05, beta_h=0.2)
+        mixed = rng.uniform(0, 1, (6, 3))
+        mixed[0], mixed[1, 1], mixed[2] = -0.0, -0.0, 0.0
+        for w in (mixed, np.full((6, 3), -0.0), np.zeros((6, 3))):
+            value = evaluate(v, w, h, params)
+            assert np.float64(value).tobytes() == np.float64(self.explicit(v, w, h, params)).tobytes()
 
     def test_temporaries_bounded(self):
         # The residual is formed in blocks, not as one D x N float64 array;
@@ -200,6 +219,24 @@ class TestGradients:
             g = grad_h(v, w, h, params)
             g_fd = fd_grad(lambda m: smooth_part(v, w, m, params), h)
             np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-8)
+
+    def test_grad_h_stencil_equals_dense_product(self, dense_grad_h):
+        # Every width from 2 to 70 (at 9, hd[:, -1] has a stride of 8
+        # elements), then two wide ones; random h, then h with a zero row and
+        # equal adjacent columns, so that differences of hd are exact zeros.
+        rng = np.random.default_rng(45)
+        shapes = [(k, n) for n in range(2, 71) for k in range(1, 6)] + [(3, 200), (4, 2000)]
+        params = ObjectiveParams(eta=0.7, beta_h=0.2)
+        for k, n in shapes:
+            v = rng.uniform(0, 1, (4, n))
+            w = rng.uniform(0, 1, (4, k))
+            paired = np.repeat(rng.uniform(0, 1, (k, (n + 1) // 2)), 2, axis=1)[:, :n]
+            paired[k // 2] = 0.0
+            for h in (rng.uniform(0, 1, (k, n)), paired):
+                g = grad_h(v, w, h, params)
+                expected = dense_grad_h(v, w, h, params)
+                np.testing.assert_array_equal(g, expected, err_msg=f"k={k}, n={n}")
+                assert g.tobytes() == expected.tobytes(), f"k={k}, n={n}"
 
     def test_grad_w_ignores_l1_weight(self):
         rng = np.random.default_rng(44)

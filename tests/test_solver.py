@@ -14,7 +14,11 @@ from palmnmf import (
     NumericError,
     ObjectiveParams,
     SolverConfig,
+    SyntheticSpec,
     evaluate,
+    gen_smooth_rows,
+    gen_sparse_matrix,
+    generate,
     grad_h,
     grad_w,
     initialize,
@@ -221,6 +225,24 @@ class TestSolve:
         np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(a.h, b.h)
         assert a.objective_trace == b.objective_trace
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5], ids=["smooth", "sparse+smooth"])
+    def test_stencil_gradient_bitwise_over_a_solve(self, lam, dense_grad_h, monkeypatch):
+        # The acceptance-06 instance, 300 iterations: grad_h's stencil and
+        # the dense product give the same W, H and trace, byte for byte.
+        w_r = gen_sparse_matrix(100, 5, 0.2, 5)
+        h_r = gen_smooth_rows(5, 200, 6)
+        sigma = 0.3 * float((w_r @ h_r).mean())
+        v, _, _ = generate(SyntheticSpec(d=100, k=5, n=200, sigma=sigma, w_density=0.2, clip_mode="absolute", seed=5))
+        params = ObjectiveParams(lam=lam, eta=1.0)
+        config = SolverConfig(k=5, seed=1000, max_iter=300, tol=1e-15)
+        stencil = solve(v, params, config)
+        monkeypatch.setattr(solver_module, "grad_h", dense_grad_h)
+        dense = solve(v, params, config)
+        assert stencil.iterations == dense.iterations == 300
+        for a, b in ((stencil.w, dense.w), (stencil.h, dense.h)):
+            assert a.tobytes() == b.tobytes()
+        assert np.array(stencil.objective_trace).tobytes() == np.array(dense.objective_trace).tobytes()
 
     def test_parallel_runs_match_sequential(self):
         v = np.random.default_rng(42).uniform(0, 1, (10, 12))

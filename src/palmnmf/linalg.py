@@ -137,6 +137,23 @@ class Record:
         return cls(**{f.name: d[key] for key, f in by_key.items() if key in d})
 
 
+def frobenius(*ms):
+    """The Frobenius norm of the trusted float64 arrays *ms* taken together.
+
+    It is the square root of the plain sum of squares, bit for bit, unless
+    that sum overflows; only then is every entry divided by the largest
+    magnitude first, so a norm that fits in a float is not reported as inf.
+    """
+    total = 0.0
+    for m in ms:
+        total += float((m * m).sum())
+    if total == math.inf:
+        scale = max(float(np.abs(m).max()) for m in ms)
+        if scale < math.inf:
+            return scale * frobenius(*(m / scale for m in ms))
+    return math.sqrt(total)
+
+
 def nonneg_project(m):
     """Elementwise max(0, x): projection onto the nonnegative orthant."""
     return np.maximum(m, 0.0)

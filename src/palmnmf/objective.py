@@ -13,8 +13,9 @@ proximal step; ``grad_w``/``grad_h`` differentiate everything else.
 by its two-term stencil: each entry of (h D) D^T is one difference of
 two adjacent entries of h D.
 
-``evaluate`` validates its matrices. The gradients and step moduli are
-step kernels that trust theirs (finite float64 2-D arrays of consistent
+``evaluate`` validates its matrices, plain float64 arrays by the value
+it computes from them. The gradients and step moduli are step kernels
+that trust theirs (finite float64 2-D arrays of consistent
 shape, as ``solve`` passes them) and check only scalars.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import Record, as_matrix, require_allocatable
+from .linalg import Record, as_matrix, frobenius, require_allocatable
 
 # Floor for step moduli so a collapsed factor never yields a zero divisor.
 LIPSCHITZ_FLOOR = 1e-12
@@ -71,26 +72,18 @@ def difference_operator(n):
     return d
 
 
-def evaluate(v, w, h, params):
-    """Value of the regularized cost at nonnegative factors (w, h).
+def _plain(v, w, h):
+    """True if v, w and h are float64 ndarrays proper (no subclass, for
+    which ``*`` may be a matrix product), 2-D, non-empty and of consistent
+    shapes: the arrays ``evaluate`` may cost before it checks them."""
+    for m in (v, w, h):
+        if type(m) is not np.ndarray or m.dtype != np.float64 or m.ndim != 2 or not m.size:
+            return False
+    return w.shape[0] == v.shape[0] and h.shape[1] == v.shape[1] and w.shape[1] == h.shape[0]
 
-    Nonnegativity is required of the inputs rather than encoded as an
-    infinite indicator value; the solver maintains it by construction.
-    With eta > 0, ``difference_operator`` checks h's width.
-    """
-    v = as_matrix(v, "v")
-    w = as_matrix(w, "w")
-    h = as_matrix(h, "h")
-    if w.shape[0] != v.shape[0] or h.shape[1] != v.shape[1] or w.shape[1] != h.shape[0]:
-        raise ShapeError(
-            "inconsistent shapes: v is {}x{}, w is {}x{}, h is {}x{}".format(
-                *v.shape, *w.shape, *h.shape
-            )
-        )
-    if (w < 0).any():
-        raise DomainError("w must be nonnegative")
-    if (h < 0).any():
-        raise DomainError("h must be nonnegative")
+
+def _cost(v, w, h, params):
+    """The cost of ``evaluate``, for arrays that pass its shape checks."""
     # The fit term in blocks of whole rows, at most _BLOCK entries (or one
     # row): product, residual and square in place in one block. Up to
     # _BLOCK entries that is one block and one pairwise sum, as over the
@@ -111,19 +104,71 @@ def evaluate(v, w, h, params):
     if params.eta > 0:
         hd = h @ difference_operator(h.shape[1])
         value += params.eta * float((hd * hd).sum())
-    value += params.lam * float(w.sum())  # w >= 0 was checked above: no abs
+    value += params.lam * float(w.sum())  # no abs: w >= 0 is checked by the caller
+    # The ridge terms must be added even at weight 0 (0 * inf is nan): they
+    # carry every entry of w and h into the value, and evaluate's check by
+    # the value relies on that.
     value += params.beta_w * float((w * w).sum())
     value += params.beta_h * float((h * h).sum())
     return value
+
+
+def evaluate(v, w, h, params):
+    """Value of the regularized cost at nonnegative factors (w, h).
+
+    Nonnegativity is required of the inputs rather than encoded as an
+    infinite indicator value; the solver maintains it by construction.
+    With eta > 0, ``difference_operator`` checks h's width.
+
+    Plain float64 arrays of consistent shape are costed first, and a
+    finite value with w, h >= 0 is returned without scanning the inputs.
+    Anything else (another type, a non-finite value, a negative entry, an
+    error from ``difference_operator``) takes the full checks in order and
+    then the cost, so errors and warnings do not depend on the path.
+    """
+    if _plain(v, w, h):
+        # A finite value proves every entry finite, without a scan. Each
+        # entry of v is in exactly one residual entry, and a nan or +-inf
+        # there stays non-finite through numpy's subtract, square and sum
+        # and then fsum; each entry of w and h is in its ridge term. A
+        # non-finite term cannot be cancelled by the finite others, so
+        # whatever BLAS gives for w h, a finite value has finite inputs.
+        with np.errstate(all="ignore"):
+            try:
+                value = _cost(v, w, h, params)
+            except ValueError:
+                value = math.nan
+        if math.isfinite(value) and not (w < 0).any() and not (h < 0).any():
+            return value
+    v = as_matrix(v, "v")
+    w = as_matrix(w, "w")
+    h = as_matrix(h, "h")
+    if w.shape[0] != v.shape[0] or h.shape[1] != v.shape[1] or w.shape[1] != h.shape[0]:
+        raise ShapeError(
+            "inconsistent shapes: v is {}x{}, w is {}x{}, h is {}x{}".format(
+                *v.shape, *w.shape, *h.shape
+            )
+        )
+    if (w < 0).any():
+        raise DomainError("w must be nonnegative")
+    if (h < 0).any():
+        raise DomainError("h must be nonnegative")
+    return _cost(v, w, h, params)
 
 
 def grad_w(v, w, h, params):
     """Gradient of the smooth part of the cost with respect to w.
 
     2 w h h^T - 2 v h^T + 2 beta_w w; the l1 term is left to the prox.
-    Inputs are trusted (see the module docstring).
+    v h^T is formed as (h v^T)^T. Inputs are trusted (see the module
+    docstring).
     """
-    return 2.0 * (w @ (h @ h.T) - v @ h.T + params.beta_w * w)
+    # Each entry of v h^T and of (h v^T)^T is the same dot product of a row
+    # of v with a row of h, and OpenBLAS 0.3.31 gave it bit for bit either
+    # way on every shape tried. It runs the k x D product faster when k is
+    # small against D and N: 4.2 -> 3.2 ms at 1000x2000, k=20, and 0.67 to
+    # 1.13 times the time from 6x5 to 2000x4000 (one core of a 2.1 GHz Xeon).
+    return 2.0 * (w @ (h @ h.T) - (h @ v.T).T + params.beta_w * w)
 
 
 def grad_h(v, w, h, params):
@@ -160,9 +205,9 @@ def lipschitz_w(h, params):
 
     A valid Lipschitz constant of ``grad_w`` as a function of w at fixed h,
     since the spectral norm is bounded by the Frobenius norm. h is trusted.
+    The norm is finite whenever h h^T is, though its squares may overflow.
     """
-    gram = h @ h.T
-    value = 2.0 * math.sqrt((gram * gram).sum()) + 2.0 * params.beta_w
+    value = 2.0 * frobenius(h @ h.T) + 2.0 * params.beta_w
     return max(value, LIPSCHITZ_FLOOR)
 
 
@@ -172,12 +217,12 @@ def lipschitz_h(w, n, params):
     2 ||w^T w||_F + 2 eta ||D D^T||_F + 2 beta_h, floored. For the
     difference operator D of size n, ||D D^T||_F = sqrt(6n - 8): D D^T is
     tridiagonal with diagonal (1, 2, ..., 2, 1) and off-diagonals -1.
-    w is trusted; n is checked.
+    w is trusted; n is checked. As in ``lipschitz_w``, the norm of a finite
+    w^T w is finite.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gram = w.T @ w
-    value = 2.0 * math.sqrt((gram * gram).sum()) + 2.0 * params.beta_h
+    value = 2.0 * frobenius(w.T @ w) + 2.0 * params.beta_h
     if params.eta > 0 and n >= 2:
         value += 2.0 * params.eta * math.sqrt(6.0 * n - 8.0)
     return max(value, LIPSCHITZ_FLOOR)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import Record, as_matrix, nonneg_project, require_allocatable, soft_threshold_nonneg
+from .linalg import Record, as_matrix, frobenius, nonneg_project, require_allocatable, soft_threshold_nonneg
 from .objective import (
     LIPSCHITZ_FLOOR,
     evaluate,
@@ -133,23 +133,26 @@ def solve(v, params, config):
     w, h = initialize(v, config)
     trace = []
     converged = False
-    for k in range(config.max_iter + 1):  # iteration 0 is the initial point
-        if k:
-            try:
-                w_next, h_next = palm_step(v, w, h, params, config)
-            except NumericError as exc:
-                raise NumericError(str(exc), iteration=k) from exc
-            step = math.sqrt(float(((w_next - w) ** 2).sum()) + float(((h_next - h) ** 2).sum()))
-            base = max(math.sqrt(float((w * w).sum()) + float((h * h).sum())), LIPSCHITZ_FLOOR)
-            converged = step / base < config.tol
-            w, h = w_next, h_next
-        with np.errstate(over="ignore"):
+    # An overflow in the stopping test's norms is rescaled by frobenius, and
+    # one in the objective is the NumericError below: numpy's warnings about
+    # them would be redundant.
+    with np.errstate(over="ignore"):
+        for k in range(config.max_iter + 1):  # iteration 0 is the initial point
+            if k:
+                try:
+                    w_next, h_next = palm_step(v, w, h, params, config)
+                except NumericError as exc:
+                    raise NumericError(str(exc), iteration=k) from exc
+                step = frobenius(w_next - w, h_next - h)
+                base = max(frobenius(w, h), LIPSCHITZ_FLOOR)
+                converged = step / base < config.tol
+                w, h = w_next, h_next
             value = evaluate(v, w, h, params)
-        if not math.isfinite(value):
-            raise NumericError("objective became non-finite", iteration=k)
-        trace.append(value)
-        if converged:
-            break
+            if not math.isfinite(value):
+                raise NumericError("objective became non-finite", iteration=k)
+            trace.append(value)
+            if converged:
+                break
     return FactorizationResult(
         w=w, h=h, objective_trace=trace, iterations=len(trace) - 1, converged=converged
     )

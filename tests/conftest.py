@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import palmnmf
-from palmnmf import difference_operator
+from palmnmf import SyntheticSpec, gen_smooth_rows, gen_sparse_matrix, generate
 
 
 @pytest.fixture
@@ -26,18 +26,14 @@ def cli_env():
     return env
 
 
-def _dense_grad_h(v, w, h, params):
-    """The H gradient 2((w^T w) h - w^T v + beta_h h + eta (h D) D^T) with
-    both products by the dense operator D: the reference that ``grad_h``,
-    which applies D^T by its stencil, equals bit for bit."""
-    g = (w.T @ w) @ h - w.T @ v + params.beta_h * h
-    if params.eta > 0:
-        d = difference_operator(h.shape[1])
-        g = g + params.eta * ((h @ d) @ d.T)
-    return 2.0 * g
-
-
-@pytest.fixture
-def dense_grad_h():
-    """``grad_h`` with D^T applied as a dense product."""
-    return _dense_grad_h
+@pytest.fixture(scope="session")
+def acceptance_06_v():
+    """V of the acceptance-06 instance (100 x 200, k = 5, 80 % zeros in the
+    truth W, folded noise at 0.3 times the mean signal, data seed 5),
+    read-only."""
+    w_r = gen_sparse_matrix(100, 5, 0.2, 5)
+    h_r = gen_smooth_rows(5, 200, 6)
+    sigma = 0.3 * float((w_r @ h_r).mean())
+    v = generate(SyntheticSpec(d=100, k=5, n=200, sigma=sigma, w_density=0.2, clip_mode="absolute", seed=5))[0]
+    v.flags.writeable = False
+    return v

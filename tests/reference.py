@@ -1,0 +1,63 @@
+"""PALM for regularized nonnegative factorization, written plainly from its
+formulas: the oracle that ``palmnmf.solve`` matches bit for bit.
+
+It builds the dense difference operator G inline, reduces with ``np.sum``,
+and has no validation, cache, blocking or stencil. Products are associated
+as in the package (``w @ (h h^T)``, ``(w^T w) @ h``), and v h^T is written
+as it reads. Only ``initialize`` is shared with the package.
+"""
+
+import numpy as np
+
+from palmnmf import initialize
+
+
+def difference(n):
+    """The n x (n-1) G with G[j, j] = 1 and G[j+1, j] = -1."""
+    return np.eye(n, n - 1) - np.eye(n, n - 1, k=-1)
+
+
+def cost(v, w, h, p):
+    r = v - w @ h
+    value = float(np.sum(r * r))
+    if p.eta > 0:
+        hg = h @ difference(h.shape[1])
+        value += p.eta * float(np.sum(hg * hg))
+    return value + p.lam * float(np.sum(np.abs(w))) + p.beta_w * float(np.sum(w * w)) + p.beta_h * float(np.sum(h * h))
+
+
+def grad_w(v, w, h, p):
+    return 2.0 * (w @ (h @ h.T) - v @ h.T + p.beta_w * w)
+
+
+def grad_h(v, w, h, p):
+    g = (w.T @ w) @ h - w.T @ v + p.beta_h * h
+    if p.eta > 0:
+        d = difference(h.shape[1])
+        g = g + p.eta * ((h @ d) @ d.T)
+    return 2.0 * g
+
+
+def modulus(gram, beta, smooth=0.0):
+    """2 ||gram||_F + 2 beta + smooth, floored at 1e-12."""
+    return max(2.0 * np.sqrt(np.sum(gram * gram)) + 2.0 * beta + smooth, 1e-12)
+
+
+def solve(v, p, config):
+    """(w, h, trace), as ``palmnmf.solve`` defines them."""
+    w, h = initialize(v, config)
+    trace = [cost(v, w, h, p)]
+    n = v.shape[1]
+    for _ in range(config.max_iter):
+        c = config.gamma1 * modulus(h @ h.T, p.beta_w)
+        w_next = np.maximum(w - grad_w(v, w, h, p) / c - p.lam / c, 0.0)
+        smooth = 2.0 * p.eta * np.sqrt(6.0 * n - 8.0) if p.eta > 0 and n >= 2 else 0.0
+        d = config.gamma2 * modulus(w_next.T @ w_next, p.beta_h, smooth)
+        h_next = np.maximum(h - grad_h(v, w_next, h, p) / d, 0.0)
+        step = np.sqrt(np.sum((w_next - w) ** 2) + np.sum((h_next - h) ** 2))
+        base = max(np.sqrt(np.sum(w * w) + np.sum(h * h)), 1e-12)
+        w, h = w_next, h_next
+        trace.append(cost(v, w, h, p))
+        if step / base < config.tol:
+            break
+    return w, h, trace

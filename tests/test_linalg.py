@@ -28,6 +28,7 @@ from palmnmf import (
     solve,
 )
 from palmnmf.benchmark import CLIP_MODES
+from palmnmf.linalg import frobenius
 
 
 class TestDifferenceOperator:
@@ -110,6 +111,30 @@ class TestDifferenceOperatorCache:
         assert result.iterations == 7
         info = difference_operator.cache_info()
         assert (info.misses, info.hits) == (1, 2 * result.iterations)
+
+
+class TestFrobenius:
+    def test_plain_sum_of_squares_bitwise(self):
+        rng = np.random.default_rng(5)
+        for shapes in (((3, 4),), ((20, 2), (2, 30)), ((1, 1), (7, 1), (1, 7))):
+            ms = [rng.uniform(-1e100, 1e100, shape) for shape in shapes]
+            expected = math.sqrt(sum(float((m * m).sum()) for m in ms))
+            assert np.float64(frobenius(*ms)).tobytes() == np.float64(expected).tobytes()
+
+    def test_overflowing_squares_are_rescaled(self):
+        # Each square overflows, the norm does not: the plain sum gave inf.
+        m = np.array([[3e200, -4e200], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert frobenius(m) == pytest.approx(5e200, rel=1e-15)
+            assert frobenius(m, m[:1]) == pytest.approx(math.sqrt(50) * 1e200, rel=1e-15)
+            assert frobenius(np.full((1, 100000), 1e300)) == pytest.approx(1e300 * math.sqrt(1e5), rel=1e-13)
+
+    def test_non_finite_stays_non_finite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert frobenius(np.array([[1.0, math.inf]])) == math.inf
+            assert frobenius(np.array([[1e300, math.inf]])) == math.inf
+            assert math.isnan(frobenius(np.array([[1.0, math.nan]])))
+            assert frobenius(np.full((2, 2), 1.5e308)) == math.inf  # 3e308 is not a float
 
 
 class TestNonnegProject:

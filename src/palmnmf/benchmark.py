@@ -89,8 +89,9 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
         raise ShapeError(
             f"cannot multiply {w_r.shape[0]}x{w_r.shape[1]} by {h_r.shape[0]}x{h_r.shape[1]}"
         )
+    # abs maps the -0.0 that "ge 0" admits to the 0.0 numpy's normal accepts
     with np.errstate(over="ignore"):
-        noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, sigma, size=(w_r.shape[0], h_r.shape[1]))
+        noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, abs(sigma), size=(w_r.shape[0], h_r.shape[1]))
     if not np.isfinite(noisy).all():  # before clipping, which maps -inf to 0
         raise NumericError(f"the noisy product w_r @ h_r is not finite at sigma={sigma!r}")
     if clip_mode == "max_zero":

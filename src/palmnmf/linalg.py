@@ -146,7 +146,7 @@ def frobenius(*ms):
     """
     total = 0.0
     for m in ms:
-        total += float((m * m).sum())
+        total += float(np.add.reduce(m * m, None))  # m.sum() without its wrapper
     if total == math.inf:
         scale = max(float(np.abs(m).max()) for m in ms)
         if scale < math.inf:
@@ -167,4 +167,5 @@ def soft_threshold_nonneg(m, tau):
     """
     if not tau >= 0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
-    return np.maximum(m - tau, 0.0)
+    r = m - tau
+    return np.maximum(r, 0.0, out=r)

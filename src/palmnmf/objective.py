@@ -90,26 +90,27 @@ def _cost(v, w, h, params):
     # whole residual; above, each block's sum has fewer terms and fsum adds
     # them with one rounding, so the error bound is no worse (Higham 1993).
     # Finite block sums whose total overflows make fsum raise; the total is
-    # then inf, as one sum over the whole residual would give.
+    # then inf, as one sum over the whole residual would give. Every sum is
+    # np.add.reduce(x, None), what x.sum() calls, without its wrapper.
     rows = max(1, _BLOCK // v.shape[1])
     fit = []
     for i in range(0, v.shape[0], rows):
         r = w[i : i + rows] @ h
         np.subtract(v[i : i + rows], r, out=r)
-        fit.append(float(np.square(r, out=r).sum()))
+        fit.append(float(np.add.reduce(np.square(r, out=r), None)))
     try:
         value = math.fsum(fit)
     except OverflowError:
         value = math.inf
     if params.eta > 0:
         hd = h @ difference_operator(h.shape[1])
-        value += params.eta * float((hd * hd).sum())
-    value += params.lam * float(w.sum())  # no abs: w >= 0 is checked by the caller
+        value += params.eta * float(np.add.reduce(hd * hd, None))
+    value += params.lam * float(np.add.reduce(w, None))  # no abs: w >= 0 is checked by the caller
     # The ridge terms must be added even at weight 0 (0 * inf is nan): they
     # carry every entry of w and h into the value, and evaluate's check by
     # the value relies on that.
-    value += params.beta_w * float((w * w).sum())
-    value += params.beta_h * float((h * h).sum())
+    value += params.beta_w * float(np.add.reduce(w * w, None))
+    value += params.beta_h * float(np.add.reduce(h * h, None))
     return value
 
 
@@ -138,7 +139,9 @@ def evaluate(v, w, h, params):
                 value = _cost(v, w, h, params)
             except ValueError:
                 value = math.nan
-        if math.isfinite(value) and not (w < 0).any() and not (h < 0).any():
+        # The sign checks take each factor's minimum, in one pass and with
+        # no bool temporary; -0.0 is not below 0, as in w < 0.
+        if math.isfinite(value) and np.minimum.reduce(w, None) >= 0 and np.minimum.reduce(h, None) >= 0:
             return value
     v = as_matrix(v, "v")
     w = as_matrix(w, "w")
@@ -149,9 +152,9 @@ def evaluate(v, w, h, params):
                 *v.shape, *w.shape, *h.shape
             )
         )
-    if (w < 0).any():
+    if np.minimum.reduce(w, None) < 0:  # entries now checked finite
         raise DomainError("w must be nonnegative")
-    if (h < 0).any():
+    if np.minimum.reduce(h, None) < 0:
         raise DomainError("h must be nonnegative")
     return _cost(v, w, h, params)
 
@@ -168,7 +171,13 @@ def grad_w(v, w, h, params):
     # way on every shape tried. It runs the k x D product faster when k is
     # small against D and N: 4.2 -> 3.2 ms at 1000x2000, k=20, and 0.67 to
     # 1.13 times the time from 6x5 to 2000x4000 (one core of a 2.1 GHz Xeon).
-    return 2.0 * (w @ (h @ h.T) - (h @ v.T).T + params.beta_w * w)
+    # In place on the fresh product g: the same operations in the same order
+    # as the expression, without its temporaries.
+    g = w @ (h @ h.T)
+    g -= (h @ v.T).T
+    g += params.beta_w * w
+    g *= 2.0
+    return g
 
 
 def grad_h(v, w, h, params):
@@ -180,7 +189,9 @@ def grad_h(v, w, h, params):
     end. Inputs are trusted; with eta > 0, ``difference_operator`` checks
     h's width.
     """
-    g = (w.T @ w) @ h - w.T @ v + params.beta_h * h
+    g = (w.T @ w) @ h  # in place from here, as in grad_w
+    g -= w.T @ v
+    g += params.beta_h * h
     if params.eta > 0:
         hd = h @ difference_operator(h.shape[1])
         # Each entry is the one difference, or the one term, that the dense
@@ -196,8 +207,10 @@ def grad_h(v, w, h, params):
         hddt[:, 0] = hd[:, 0]
         hddt[:, 1:-1] = hd[:, 1:] - hd[:, :-1]
         hddt[:, -1] = -hd[:, -1]
-        g += params.eta * hddt
-    return 2.0 * g
+        hddt *= params.eta
+        g += hddt
+    g *= 2.0
+    return g
 
 
 def lipschitz_w(h, params):
@@ -205,7 +218,9 @@ def lipschitz_w(h, params):
 
     A valid Lipschitz constant of ``grad_w`` as a function of w at fixed h,
     since the spectral norm is bounded by the Frobenius norm. h is trusted.
-    The norm is finite whenever h h^T is, though its squares may overflow.
+    The norm is finite whenever h h^T is, though its squares may overflow:
+    then numpy warns ``overflow encountered in multiply`` unless the caller
+    ignores overflow (``palm_step`` does), and the rescaled norm is returned.
     """
     value = 2.0 * frobenius(h @ h.T) + 2.0 * params.beta_w
     return max(value, LIPSCHITZ_FLOOR)
@@ -218,7 +233,8 @@ def lipschitz_h(w, n, params):
     difference operator D of size n, ||D D^T||_F = sqrt(6n - 8): D D^T is
     tridiagonal with diagonal (1, 2, ..., 2, 1) and off-diagonals -1.
     w is trusted; n is checked. As in ``lipschitz_w``, the norm of a finite
-    w^T w is finite.
+    w^T w is finite, and squares that overflow warn unless overflow is
+    ignored.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -7,7 +7,8 @@ projection) using the already-updated w. Step sizes come from per-block
 Lipschitz bounds inflated by gamma1/gamma2 > 1, which guarantees monotone
 descent of the objective.
 
-``solve`` validates v once; ``palm_step`` and its kernels trust their arrays.
+``solve`` validates v once, through ``initialize``; ``palm_step`` and its
+kernels trust their arrays.
 """
 
 import math
@@ -88,16 +89,22 @@ def palm_step(v, w, h, params, config):
     float64 2-D arrays of consistent shape, as ``solve`` passes them.
     """
     # Overflow inside the updates is detected by the explicit finiteness
-    # checks below, so numpy's warnings are redundant here.
+    # checks below, so numpy's warnings are redundant here. Each gradient is
+    # a fresh array, so it is divided and subtracted from in place: the same
+    # operations as w - grad / c, without the temporaries.
     with np.errstate(over="ignore", invalid="ignore"):
         c = config.gamma1 * lipschitz_w(h, params)
-        z = w - grad_w(v, w, h, params) / c
+        z = grad_w(v, w, h, params)
+        z /= c
+        np.subtract(w, z, out=z)
         if not np.isfinite(z).all():
             raise NumericError("w update produced non-finite values")
         w_next = soft_threshold_nonneg(z, params.lam / c)
 
         d = config.gamma2 * lipschitz_h(w_next, h.shape[1], params)
-        y = h - grad_h(v, w_next, h, params) / d
+        y = grad_h(v, w_next, h, params)
+        y /= d
+        np.subtract(h, y, out=y)
         if not np.isfinite(y).all():
             raise NumericError("h update produced non-finite values")
         h_next = nonneg_project(y)
@@ -129,8 +136,8 @@ def solve(v, params, config):
         Final factors, per-iteration objective trace, iteration count,
         convergence flag.
     """
-    v = as_matrix(v, "v")
-    w, h = initialize(v, config)
+    w, h = initialize(v, config)  # validates v
+    v = np.asarray(v, dtype=np.float64)
     trace = []
     converged = False
     # An overflow in the stopping test's norms is rescaled by frobenius, and

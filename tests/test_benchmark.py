@@ -165,6 +165,15 @@ class TestMakeV:
         for mode in ("max_zero", "absolute"):
             np.testing.assert_array_equal(make_v(w_r, h_r, 0.0, mode, 1), w_r @ h_r)
 
+    def test_negative_zero_sigma_is_no_noise(self):
+        # -0.0 passes sigma's "ge 0" rule, and numpy's normal refuses a negative-signed scale
+        w_r = np.ones((2, 1))
+        h_r = np.ones((1, 3))
+        for mode in CLIP_MODES:
+            np.testing.assert_array_equal(make_v(w_r, h_r, -0.0, mode, 1), w_r @ h_r)
+        v, _, _ = generate(SyntheticSpec(d=1, k=1, n=2, sigma=-0.0))
+        assert v.shape == (1, 2)
+
     def test_nonnegative_in_both_modes(self):
         w_r = np.full((10, 2), 0.01)
         h_r = np.full((2, 10), 0.01)

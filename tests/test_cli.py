@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: flags, files, exit codes, determinism."""
 
+import contextlib
 import errno
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -642,6 +646,140 @@ def test_any_json_input_exits_0_1_or_2(spec, variants):
             "bench", "--d", "4", "--k", "2", "--n", "6", "--variants", variants, *common,
             "--out", str(Path(tmp) / "b"),
         ]) in (0, 1, 2)
+
+
+def _command(name, *flags):
+    """argv for command *name*. Each flag of *flags*, given as (flag, good
+    values, bad values), takes a good value (None leaves it out); then at
+    most one fault gives one flag a bad value (None drops it)."""
+    faults = [(i, value) for i, (_, _, bad) in enumerate(flags) for value in bad]
+
+    def build(values, fault):
+        values = list(values)
+        if fault is not None:
+            values[fault[0]] = fault[1]
+        given = [(flag, value) for (flag, _, _), value in zip(flags, values) if value is not None]
+        return [name, *(arg for pair in given for arg in pair)]
+
+    values = st.tuples(*(st.sampled_from(good) for _, good, _ in flags))
+    return st.builds(build, values, st.none() | st.sampled_from(faults))
+
+
+# Placeholders for paths, replaced per example: two drawn CSVs, a valid V,
+# W and H, a spec file, a directory, a missing file, and the --out path.
+_MISSING = ("@dir", "@missing", None)
+_OUT = ("--out", ("@out",), ("", None))
+_SYNTH_FLAGS = (
+    ("--d", (None, "1", "4"), ("0", "x")),
+    ("--k", (None, "1", "2"), ("0",)),
+    ("--n", (None, "2", "5"), ("1",)),
+    ("--sigma", (None, "0", "0.1", "1e308"), ("nan", "-1")),
+    ("--w-density", (None, "0.5", "1"), ("0", "2")),
+    ("--clip", (None, "absolute", "max-zero"), ("max_zero",)),
+    ("--seed", (None, "9"), ("-1",)),
+)
+# --max-iter is always given and small, so every run that starts is quick.
+_COMMANDS = st.one_of(
+    _command(
+        "factorize",
+        ("--input", ("@v", "@csv0"), _MISSING),
+        ("--k", ("1", "2"), ("0", "x", None)),
+        ("--lambda", (None, "0.5"), ("-1", "inf")),
+        ("--eta", (None, "0.7"), ("nan",)),
+        ("--beta-w", (None, "0", "1e308"), ("-1",)),
+        ("--max-iter", ("1", "4"), ("0",)),
+        ("--tol", (None, "1e-3"), ("0",)),
+        ("--seed", (None, "3"), ("-1",)),
+        _OUT,
+    ),
+    _command("synth", *_SYNTH_FLAGS, _OUT),
+    _command(
+        "score",
+        ("--w", ("@w",), ("@h", "@csv0", *_MISSING)),
+        ("--h", ("@h",), ("@w", "@csv1", *_MISSING)),
+        ("--w-true", ("@w",), ("@csv0", *_MISSING)),
+        ("--h-true", ("@h",), ("@csv1", *_MISSING)),
+    ),
+    _command(
+        "bench",
+        ("--spec", (None, "@spec"), ("@csv0", "@missing")),
+        *_SYNTH_FLAGS,
+        ("--repeats", ("1", "2"), ("0",)),
+        ("--max-iter", ("1", "2"), ("0",)),
+        ("--variants", (None, '[{"lambda": 0.5}, {"eta": 1}]', '[{"beta_w": 1e308}]'),
+         ('[{"lambda": 0.5', '[{"eta": "x"}]', '[{"zeta": 1}]', "[]", "@csv0")),
+        ("--init-seed", (None, "0"), ("-1",)),
+        _OUT,
+    ),
+)
+
+
+@st.composite
+def _csv(draw):
+    """CSV text: a rectangle of numbers (1e308, subnormals and zeros among
+    them; one row or one column at times), then at most one fault: a bad
+    token, a blank line or a ragged row. Lines end in LF or CRLF, the last
+    one or not."""
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    numbers = st.sampled_from(["0", "1", "0.5", "3", " 2", "1e308", "5e-324", "2.2e-308"])
+    rows = [[draw(numbers) for _ in range(n_cols)] for _ in range(n_rows)]
+    fault = draw(st.sampled_from([None, None, "token", "blank", "ragged"]))
+    i = draw(st.integers(0, n_rows - 1))
+    if fault == "token":
+        rows[i][draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "", "x"]))
+    elif fault == "blank":
+        rows.insert(i, [])
+    elif fault == "ragged":
+        rows[i] = rows[i][:-1] if n_cols > 1 else rows[i] * 2
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(map(",".join, rows)) + (newline if draw(st.booleans()) else "")
+
+
+_SPECS = st.sampled_from([
+    '{"d": 4, "k": 2, "n": 6, "sigma": 0.1}', '{"d": 4, "k": 2, "n": 6', '{"d": "4", "k": 2, "n": 6, "sigma": 0.1}',
+    '{"d": 4, "k": 2, "n": 6, "sigma": 0.1, "seeds": 3}', "[1, 2]", "",
+])
+
+
+@given(argv=_COMMANDS, csv0=_csv(), csv1=_csv(), spec=_SPECS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_any_invocation_keeps_the_exit_code_contract(argv, csv0, csv1, spec):
+    """Any argv of the four commands, over CSVs holding nan, inf, 1e308,
+    subnormals, blank lines, CRLF and ragged rows, exits 0, 1 or 2 with no
+    warning and no traceback. Exit 0 prints one JSON document; a failure
+    prints one ``error:`` line or argparse's usage and leaves no --out
+    directory, but for bench's exit 1 when every run failed, which writes
+    its table and says so."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {"@out": str(tmp / "out" / "run"), "@dir": str(tmp), "@missing": str(tmp / "missing.csv")}
+        rng = np.random.default_rng(0)
+        for name, m in (("@v", rng.uniform(0, 1, (3, 4))), ("@w", rng.uniform(0, 1, (3, 2))),
+                        ("@h", rng.uniform(0, 1, (2, 4)))):
+            paths[name] = str(tmp / f"{name[1:]}.csv")
+            save_matrix(m, paths[name])
+        for name, text in (("@csv0", csv0), ("@csv1", csv1), ("@spec", spec)):
+            paths[name] = str(tmp / f"{name[1:]}.txt")
+            Path(paths[name]).write_bytes(text.encode())
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([paths.get(arg, arg) for arg in argv])
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+            assert out.count("\n") == 1 and err == ""
+            return
+        if argv[0] == "bench" and code == 1 and err == "all runs failed\n":
+            json.loads(out)
+            return
+        lines = err.splitlines()
+        usage = lines[0].startswith("usage: palmnmf") and re.match(r"palmnmf( \w+)?: error: ", lines[-1])
+        assert usage or (len(lines) == 1 and lines[0].startswith("error: "))
+        assert out == ""
+        assert not (tmp / "out").exists()
 
 
 SMALL = ["--d", "4", "--k", "2", "--n", "6"]

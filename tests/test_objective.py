@@ -418,6 +418,16 @@ class TestStepModuli:
         lhs = np.linalg.norm(grad_h(v, w, h1, params) - grad_h(v, w, h2, params))
         assert lhs <= lipschitz_h(w, 8, params) * np.linalg.norm(h1 - h2) * (1 + 1e-12)
 
+    def test_gram_whose_squares_overflow_warns_then_is_rescaled(self):
+        # h h^T (and w^T w) is 1e305; its square overflows in frobenius's
+        # multiply, which warns outside palm_step's errstate, and the norm is
+        # then taken of the rescaled Gram.
+        big = np.full((1, 100000), 1e150)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            assert lipschitz_w(big, ObjectiveParams()) == 1.9999999999999773e305
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            assert lipschitz_h(big.T, 3, ObjectiveParams()) == 1.9999999999999773e305
+
     def test_lipschitz_h_rejects_bad_n(self):
         with pytest.raises(ValueError):
             lipschitz_h(np.ones((2, 2)), 0, ObjectiveParams())

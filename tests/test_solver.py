@@ -178,6 +178,100 @@ class TestPalmStep:
             palm_step(np.ones((3, 3)), big, big, ObjectiveParams(), SolverConfig(k=3))
 
 
+class TestPalmStepFiniteness:
+    """palm_step's finiteness test looks at every entry: finite entries whose
+    sum overflows step, and a -inf entry that the prox would clamp is refused.
+    Each case fixes one block's gradient (and its modulus at 1, so that
+    c = gamma = 1.25 exactly) to place 1.5e308 / 1.25 = 1.2e308 in row 0 of
+    the update's subtrahend."""
+
+    PARAMS = ObjectiveParams(lam=0.4, eta=0.6)
+    CONFIG = SolverConfig(k=2, gamma1=1.25, gamma2=1.25)
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(45)
+        return rng.uniform(0, 1, (6, 5)), rng.uniform(0, 1, (6, 2)), rng.uniform(0, 1, (2, 5))
+
+    def fix_gradient(self, monkeypatch, block, v, w, h):
+        """Make grad_<block> return its true value with row 0 set to 1.5e308,
+        and lipschitz_<block> return 1; return the fixed gradient."""
+        g = grad_w(v, w, h, self.PARAMS) if block == "w" else grad_h(v, w, h, self.PARAMS)
+        g[0] = 1.5e308
+        monkeypatch.setattr(solver_module, f"grad_{block}", lambda *args: g.copy())
+        monkeypatch.setattr(solver_module, f"lipschitz_{block}", lambda *args: 1.0)
+        return g
+
+    def test_w_update_whose_sum_overflows_steps(self, monkeypatch):
+        v, w, h = self.instance()
+        g = self.fix_gradient(monkeypatch, "w", v, w, h)
+        z = w - g / 1.25
+        with np.errstate(over="ignore"):
+            assert np.isfinite(z).all() and np.sum(z) == -np.inf
+        w_expect = np.maximum(z - self.PARAMS.lam / 1.25, 0.0)
+        d = 1.25 * lipschitz_h(w_expect, 5, self.PARAMS)
+        h_expect = np.maximum(h - grad_h(v, w_expect, h, self.PARAMS) / d, 0.0)
+        w_next, h_next = palm_step(v, w, h, self.PARAMS, self.CONFIG)
+        assert (w_next[0] == 0).all()
+        assert w_next.tobytes() == w_expect.tobytes()
+        assert h_next.tobytes() == h_expect.tobytes()
+
+    def test_h_update_whose_sum_overflows_steps(self, monkeypatch):
+        v, w, h = self.instance()
+        c = 1.25 * lipschitz_w(h, self.PARAMS)
+        w_expect = np.maximum(w - grad_w(v, w, h, self.PARAMS) / c - self.PARAMS.lam / c, 0.0)
+        g = self.fix_gradient(monkeypatch, "h", v, w_expect, h)
+        y = h - g / 1.25
+        with np.errstate(over="ignore"):
+            assert np.isfinite(y).all() and np.sum(y) == -np.inf
+        h_expect = np.maximum(y, 0.0)
+        w_next, h_next = palm_step(v, w, h, self.PARAMS, self.CONFIG)
+        assert (h_next[0] == 0).all()
+        assert w_next.tobytes() == w_expect.tobytes()
+        assert h_next.tobytes() == h_expect.tobytes()
+
+    @pytest.mark.parametrize("block", ["w", "h"])
+    def test_minus_inf_entry_is_refused_though_the_prox_would_clamp_it(self, block, monkeypatch):
+        # A gradient entry that overflowed to inf puts -inf in the update;
+        # max(-inf - tau, 0) would be a finite 0.
+        v, w, h = self.instance()
+        g = self.fix_gradient(monkeypatch, block, v, w, h)
+        g[0, 0] = np.inf
+        with pytest.raises(NumericError, match=f"^{block} update produced non-finite values$"):
+            palm_step(v, w, h, self.PARAMS, self.CONFIG)
+
+
+def _prox_each(prox, *args):
+    return lambda v, w, h, params: tuple(prox(m, *args) for m in (v, w, h))
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["n9-stride-8", "n10"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        grad_w,
+        grad_h,
+        _prox_each(soft_threshold_nonneg, 0.0),
+        _prox_each(soft_threshold_nonneg, 0.3),
+        _prox_each(nonneg_project),
+        lambda v, w, h, params: palm_step(v, w, h, params, SolverConfig(k=3)),
+    ],
+    ids=["grad_w", "grad_h", "soft_threshold-tau0", "soft_threshold-tau", "nonneg_project", "palm_step"],
+)
+def test_kernels_leave_their_inputs_and_return_fresh_arrays(kernel, n):
+    # The kernels work in place on arrays they make; none may write to, or
+    # return a view of, what it was given. At n = 9, grad_h's h D is 3 x 8,
+    # the stride at which numpy 2.4.6's np.negative mishandles a strided out.
+    rng = np.random.default_rng(n)
+    v, w, h = rng.uniform(0, 1, (7, n)), rng.uniform(-0.5, 1, (7, 3)), rng.uniform(-0.5, 1, (3, n))
+    before = [m.tobytes() for m in (v, w, h)]
+    out = kernel(v, w, h, ObjectiveParams(lam=0.4, eta=0.6))
+    for m, b in zip((v, w, h), before):
+        assert m.tobytes() == b
+    for o in out if isinstance(out, tuple) else (out,):
+        assert not any(np.shares_memory(o, m) for m in (v, w, h))
+
+
 class TestSolve:
     def test_descent_across_parameter_mixes(self):
         rng = np.random.default_rng(42)
@@ -270,9 +364,15 @@ class TestSolve:
         v = np.full(shape, 1e150)
         config = SolverConfig(k=1)
         w0, h0 = initialize(v, config)
-        with np.errstate(over="ignore"):
-            assert math.isfinite(lipschitz_w(h0, ObjectiveParams()))
-            assert math.isfinite(lipschitz_h(w0, shape[1], ObjectiveParams()))
+        # Called directly, outside palm_step's errstate, the modulus whose
+        # squares overflow warns of it, then returns its rescaled, finite value.
+        moduli = [lambda: lipschitz_w(h0, ObjectiveParams()), lambda: lipschitz_h(w0, shape[1], ObjectiveParams())]
+        overflows, fits = moduli if shape[0] == 1 else moduli[::-1]
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            assert math.isfinite(overflows())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(fits())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(v, ObjectiveParams(), config)
@@ -301,6 +401,18 @@ class TestSolve:
         # solve is the only check in front of the step kernels
         with pytest.raises(ValueError, match=match):
             solve(v, ObjectiveParams(), SolverConfig(k=1, max_iter=5))
+
+    def test_validates_v_once(self, monkeypatch):
+        real = solver_module.as_matrix
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "as_matrix", counted)
+        solve(np.ones((3, 4)), ObjectiveParams(), SolverConfig(k=1, max_iter=3))
+        assert calls == [("v",)]
 
     def test_accepts_nested_list(self):
         rows = [[1.0, 2.0, 0.5], [0.0, 1.5, 3.0]]

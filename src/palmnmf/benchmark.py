@@ -95,8 +95,8 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
     if not np.isfinite(noisy).all():  # before clipping, which maps -inf to 0
         raise NumericError(f"the noisy product w_r @ h_r is not finite at sigma={sigma!r}")
     if clip_mode == "max_zero":
-        return np.maximum(noisy, 0.0)
-    return np.abs(noisy)
+        return np.maximum(noisy, 0.0, out=noisy)
+    return np.abs(noisy, out=noisy)
 
 
 def default_sigma(w_r, h_r):

@@ -21,6 +21,7 @@ shape, as ``solve`` passes them) and check only scalars.
 
 import functools
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,14 +58,24 @@ def difference_operator(n):
     not fit in physical memory, is a ValueError raised before allocating.
 
     The last D built is kept and returned, read-only, to every later call
-    with the same n: one array of 8 n (n-1) bytes (32 MB at n = 2000)
-    until another n is asked for or the process exits. Errors are not
-    kept, so both checks run on every call that builds.
+    with the same n, until another n is asked for or the process exits.
+    Errors are not kept, so both checks run on every call that builds.
+
+    D is a dense C-ordered array of 8 n (n-1) bytes (32 MB at n = 2000),
+    but only its pages that hold a diagonal entry are resident: it lives
+    in a private anonymous mapping, whose pages the kernel fills on demand,
+    and a page that is only ever read maps the one shared zero page (about
+    8 MB resident at n = 2000). np.zeros would advise transparent huge
+    pages for an array this large, and writing the diagonals would then
+    make nearly all of it resident; a THP mode of "always" does the same
+    to the mapping. Where mmap has no MAP_PRIVATE (Windows) the mapping
+    takes the default flags, with the same values.
     """
     if n < 2:
         raise ValueError(f"the difference operator needs at least 2 columns, got n={n}")
     require_allocatable("the difference operator (n x n-1)", n, n - 1)
-    d = np.zeros((n, n - 1))
+    private = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
+    d = np.frombuffer(mmap.mmap(-1, 8 * n * (n - 1), **private), np.float64).reshape(n, n - 1)
     idx = np.arange(n - 1)
     d[idx, idx] = 1.0
     d[idx + 1, idx] = -1.0

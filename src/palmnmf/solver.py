@@ -136,6 +136,9 @@ def solve(v, params, config):
         Final factors, per-iteration objective trace, iteration count,
         convergence flag.
     """
+    # One conversion of a non-array v; with no dtype, so that a complex v
+    # still reaches initialize's "must be real" check.
+    v = np.asarray(v)
     w, h = initialize(v, config)  # validates v
     v = np.asarray(v, dtype=np.float64)
     trace = []

@@ -31,6 +31,14 @@ from palmnmf.benchmark import CLIP_MODES
 from palmnmf.linalg import frobenius
 
 
+def _thp_always():
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
+            return "[always]" in f.read()
+    except OSError:
+        return False
+
+
 class TestDifferenceOperator:
     def test_n3_explicit(self):
         np.testing.assert_array_equal(
@@ -79,6 +87,7 @@ class TestDifferenceOperatorCache:
     def test_same_n_shares_one_read_only_array(self):
         g = difference_operator(6)
         assert difference_operator(6) is g
+        assert g.flags.c_contiguous and g.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             g[0, 0] = 2.0
 
@@ -111,6 +120,22 @@ class TestDifferenceOperatorCache:
         assert result.iterations == 7
         info = difference_operator.cache_info()
         assert (info.misses, info.hits) == (1, 2 * result.iterations)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux's /proc/self/statm")
+    @pytest.mark.skipif(_thp_always(), reason="THP mode 'always' makes the whole operator resident")
+    def test_operator_zero_pages_stay_out_of_memory(self):
+        # G(2000) spans 32 MB, of which only the pages holding a diagonal
+        # entry (about 8 MB) are written; reading every entry must leave the
+        # rest mapped to the shared zero page, not resident.
+        def resident():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        difference_operator.cache_clear()
+        before = resident()
+        g = difference_operator(2000)
+        assert float(g.sum()) == 0.0
+        assert resident() - before < 16e6
 
 
 class TestFrobenius:

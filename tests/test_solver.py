@@ -414,6 +414,17 @@ class TestSolve:
         solve(np.ones((3, 4)), ObjectiveParams(), SolverConfig(k=1, max_iter=3))
         assert calls == [("v",)]
 
+    def test_converts_a_non_array_v_once(self):
+        class Counted:
+            calls = 0
+
+            def __array__(self, dtype=None, copy=None):
+                Counted.calls += 1
+                return np.ones((3, 4), dtype=dtype)
+
+        solve(Counted(), ObjectiveParams(), SolverConfig(k=1, max_iter=3))
+        assert Counted.calls == 1
+
     def test_accepts_nested_list(self):
         rows = [[1.0, 2.0, 0.5], [0.0, 1.5, 3.0]]
         cfg = SolverConfig(k=1, seed=2, max_iter=20)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  factorize  -- run the solver on a CSV matrix, write W/H/trace/manifest
+  factorize  -- run the solver on a CSV matrix: W, H, trace and manifest
   synth      -- generate a synthetic benchmark instance
   score      -- score learned factors against ground truth
   bench      -- run the multi-seed regularization-variant comparison
@@ -15,10 +15,15 @@ that reads ``--spec`` and ``--variants``, so it supplies the default; in
 but ``--clip`` is made from its field: type, help and default, or the
 CLI's own default where it has one (``--d``, ``--k``, ``--n``, ``--sigma``).
 
+Each ``cmd_*`` only computes: it returns its files (name -> array, rows,
+dict or text) and its JSON summary, and ``bench`` whether every run
+failed. ``main`` alone checks ``--out``, writes the files once the
+command has returned, prints the summary and maps an error to its code.
+
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
-usage or validation error (``_USAGE_ERRORS``); ``main`` alone maps an
-error to its code and prints it as one ``error:`` line. stdout carries
-only the documented JSON summaries; everything else goes to stderr.
+usage or validation error (``_USAGE_ERRORS``); an error is printed as
+one ``error:`` line. stdout carries only the documented JSON summaries;
+everything else goes to stderr.
 """
 
 import argparse
@@ -98,7 +103,7 @@ def _out_dir(path):
     """Output directory *path*, refused before any work if it cannot be
     one: empty (rather than read as "."), an existing file or dangling
     symbolic link, or under one, with makedirs's error. Nothing is made
-    here; each command makes the directory once its work has succeeded,
+    here; ``main`` makes the directory once the command has succeeded,
     so a failed run leaves none."""
     if not path:
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
@@ -111,43 +116,25 @@ def _out_dir(path):
 
 
 def cmd_factorize(args):
-    out = _out_dir(args.out)
     params = _record(ObjectiveParams, args)
     config = _record(SolverConfig, args)
-    v = load_matrix(args.input)
-    result = solve(v, params, config)
-    out.mkdir(parents=True, exist_ok=True)
-    matrices = {"W.csv": result.w, "H.csv": result.h, "trace.csv": list(enumerate(result.objective_trace))}
-    for name, m in matrices.items():
-        save_matrix(m, out / name)
-    manifest = {
-        "input": args.input,
-        "params": params.to_dict(),
-        "config": config.to_dict(),
-        "out_dir": args.out,
-        "files": [*matrices, "manifest.json"],
+    result = solve(load_matrix(args.input), params, config)
+    manifest = {"input": args.input, "params": params.to_dict(), "config": config.to_dict(), "out_dir": args.out}
+    files = {
+        "W.csv": result.w,
+        "H.csv": result.h,
+        "trace.csv": list(enumerate(result.objective_trace)),
+        "manifest.json": manifest,
     }
-    save_json(manifest, out / "manifest.json")
-    print(
-        json.dumps(
-            {
-                "objective": result.objective_trace[-1],
-                "converged": result.converged,
-                "iterations": result.iterations,
-            }
-        )
-    )
+    manifest["files"] = [*files]
+    summary = {"objective": result.objective_trace[-1], "converged": result.converged, "iterations": result.iterations}
+    return files, summary
 
 
 def cmd_synth(args):
-    out = _out_dir(args.out)
     spec = _spec_from_flags(args)
-    matrices = dict(zip(("V.csv", "W_true.csv", "H_true.csv"), generate(spec)))
-    out.mkdir(parents=True, exist_ok=True)
-    for name, m in matrices.items():
-        save_matrix(m, out / name)
-    save_json(spec.to_dict(), out / "spec.json")
-    print(json.dumps({"files": [*matrices, "spec.json"], "sigma": spec.sigma}))
+    files = dict(zip(("V.csv", "W_true.csv", "H_true.csv", "spec.json"), (*generate(spec), spec.to_dict())))
+    return files, {"files": [*files], "sigma": spec.sigma}
 
 
 def cmd_score(args):
@@ -157,7 +144,7 @@ def cmd_score(args):
         load_matrix(args.w_true),
         load_matrix(args.h_true),
     )
-    print(json.dumps(asdict(score)))
+    return {}, asdict(score)
 
 
 def _load_variants(value):
@@ -173,7 +160,6 @@ def _load_variants(value):
 
 
 def cmd_bench(args):
-    out = _out_dir(args.out)
     spec = _spec_from_flags(args, args.spec)
     variants = _load_variants(args.variants)
     # --seed is the data seed here; the config's seed comes from --init-seed,
@@ -207,15 +193,9 @@ def cmd_bench(args):
             }
         )
 
-    out.mkdir(parents=True, exist_ok=True)
-    save_text("\n".join(csv_lines) + "\n", out / "comparison.csv")
     table = {"spec": spec.to_dict(), "config": config.to_dict(), "repeats": args.repeats, "variants": table_variants}
-    save_json(table, out / "comparison.json")
-    print(json.dumps(summary))
-
-    if all(run.error is not None for vr in results for run in vr.runs):
-        print("all runs failed", file=sys.stderr)
-        return 1
+    files = {"comparison.csv": "\n".join(csv_lines) + "\n", "comparison.json": table}
+    return files, summary, all(run.error is not None for vr in results for run in vr.runs)
 
 
 def build_parser():
@@ -278,7 +258,18 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code
     try:
-        return args.func(args) or 0
+        out = _out_dir(args.out) if hasattr(args, "out") else None
+        files, summary, *all_failed = args.func(args)  # bench adds whether every run failed
+        if files:
+            out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            save = save_json if isinstance(content, dict) else save_text if isinstance(content, str) else save_matrix
+            save(content, out / name)
+        print(json.dumps(summary))
+        if any(all_failed):
+            print("all runs failed", file=sys.stderr)
+            return 1
+        return 0
     except (NumericError, OSError, ValueError, MemoryError) as exc:
         bare_memory = isinstance(exc, MemoryError) and not str(exc)  # a failed allocation outside numpy
         print(f"error: {'out of memory' if bare_memory else exc}", file=sys.stderr)

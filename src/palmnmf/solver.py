@@ -136,11 +136,11 @@ def solve(v, params, config):
         Final factors, per-iteration objective trace, iteration count,
         convergence flag.
     """
-    # One conversion of a non-array v; with no dtype, so that a complex v
-    # still reaches initialize's "must be real" check.
+    # One conversion of v to float64, which initialize's as_matrix then
+    # returns as it is; a complex v is left to its "must be real" check.
     v = np.asarray(v)
+    v = v if np.iscomplexobj(v) else v.astype(np.float64, copy=False)
     w, h = initialize(v, config)  # validates v
-    v = np.asarray(v, dtype=np.float64)
     trace = []
     converged = False
     # An overflow in the stopping test's norms is rescaled by frobenius, and

@@ -848,6 +848,55 @@ def test_unusable_out_refused_before_the_work(command, out, named, tmp_path, mon
     assert err.startswith("error: ") and named in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["factorize", "--input", "V.csv", "--k", "1"], ["synth", *SMALL], ["bench", *SMALL, *QUICK]],
+    ids=["factorize", "synth", "bench"],
+)
+def test_a_failed_write_prints_no_summary(command, tmp_path, monkeypatch, capsys):
+    save_matrix(np.ones((2, 3)), tmp_path / "V.csv")
+    monkeypatch.chdir(tmp_path)
+    written = []
+
+    def failing_second(save):
+        def wrapper(content, path):
+            written.append(path)
+            if len(written) == 2:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            save(content, path)
+
+        return wrapper
+
+    for name in ("save_matrix", "save_json", "save_text"):
+        monkeypatch.setattr(cli, name, failing_second(getattr(cli, name)))
+    assert main([*command, "--out", "out"]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and "Permission denied" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["factorize", "--input", "V.csv", "--k", "1", "--max-iter", "2", "--out", "out"],
+        ["synth", *SMALL, "--out", "out"],
+        ["score", "--w", "S.csv", "--h", "S.csv", "--w-true", "S.csv", "--h-true", "S.csv"],
+        ["bench", *SMALL, *QUICK, "--out", "out"],
+    ],
+    ids=["factorize", "synth", "score", "bench"],
+)
+def test_commands_only_compute(command, tmp_path, monkeypatch, capsys):
+    # The commands return their files and summary; main writes them.
+    save_matrix(np.ones((2, 3)), tmp_path / "V.csv")
+    save_matrix(np.ones((2, 2)), tmp_path / "S.csv")
+    monkeypatch.chdir(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    args = cli.build_parser().parse_args(command)
+    args.func(args)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+    assert capsys.readouterr() == ("", "")
+
+
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

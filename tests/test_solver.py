@@ -425,6 +425,24 @@ class TestSolve:
         solve(Counted(), ObjectiveParams(), SolverConfig(k=1, max_iter=3))
         assert Counted.calls == 1
 
+    def test_converts_an_integer_v_once(self, monkeypatch):
+        # solve casts v to float64 itself, so initialize's validation
+        # returns that array rather than a second copy.
+        real = solver_module.as_matrix
+        seen = []
+
+        def same(a, name):
+            m = real(a, name)
+            seen.append(m is a)
+            return m
+
+        monkeypatch.setattr(solver_module, "as_matrix", same)
+        v = np.arange(1, 13, dtype=np.int64).reshape(3, 4)
+        a = solve(v, ObjectiveParams(), SolverConfig(k=1, max_iter=3))
+        assert seen == [True]
+        b = solve(v.astype(np.float64), ObjectiveParams(), SolverConfig(k=1, max_iter=3))
+        assert a.objective_trace == b.objective_trace
+
     def test_accepts_nested_list(self):
         rows = [[1.0, 2.0, 0.5], [0.0, 1.5, 3.0]]
         cfg = SolverConfig(k=1, seed=2, max_iter=20)

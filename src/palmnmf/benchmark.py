@@ -75,6 +75,15 @@ def gen_sparse_matrix(d, k, w_density, seed):
     return m
 
 
+def _factors(w_r, h_r):
+    """w_r and h_r validated as matrices whose product w_r @ h_r is defined."""
+    w_r = as_matrix(w_r, "w_r")
+    h_r = as_matrix(h_r, "h_r")
+    if w_r.shape[1] != h_r.shape[0]:
+        raise ShapeError(f"cannot multiply {w_r.shape[0]}x{w_r.shape[1]} by {h_r.shape[0]}x{h_r.shape[1]}")
+    return w_r, h_r
+
+
 def make_v(w_r, h_r, sigma, clip_mode, seed):
     """Noisy nonnegative observation of the product w_r @ h_r.
 
@@ -83,12 +92,7 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
     noisy product is a NumericError naming sigma.
     """
     SyntheticSpec.check(sigma=sigma, clip_mode=clip_mode, seed=seed)
-    w_r = as_matrix(w_r, "w_r")
-    h_r = as_matrix(h_r, "h_r")
-    if w_r.shape[1] != h_r.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {w_r.shape[0]}x{w_r.shape[1]} by {h_r.shape[0]}x{h_r.shape[1]}"
-        )
+    w_r, h_r = _factors(w_r, h_r)
     # abs maps the -0.0 that "ge 0" admits to the 0.0 numpy's normal accepts
     with np.errstate(over="ignore"):
         noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, abs(sigma), size=(w_r.shape[0], h_r.shape[1]))
@@ -101,7 +105,8 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
 
 def default_sigma(w_r, h_r):
     """Noise level used when none is given: 10% of the mean product entry."""
-    return 0.1 * float((as_matrix(w_r) @ as_matrix(h_r)).mean())
+    w_r, h_r = _factors(w_r, h_r)
+    return 0.1 * float((w_r @ h_r).mean())
 
 
 def ground_truth(spec):

@@ -2,9 +2,9 @@
 config records.
 
 Matrices are 2-D float64 numpy arrays throughout the package. The
-validators here (``as_matrix``, ``require_allocatable`` and ``Record``)
-run only where data enters; the prox maps are step kernels that trust
-theirs.
+validators here (``as_float64``, ``as_matrix``, ``require_allocatable``
+and ``Record``) run only where data enters; the prox maps are step
+kernels that trust theirs.
 """
 
 import math
@@ -33,11 +33,22 @@ _BOUNDS = {
 }
 
 
+def as_float64(a, name):
+    """*a* converted once to a float64 ndarray (itself if it is one), or a ValueError naming it."""
+    try:
+        m = np.asarray(a)
+        # The cast would drop imaginary parts with only a warning, or fail on a Python complex.
+        objects = m.flat if m.dtype == object else ()
+        if not (np.iscomplexobj(m) or any(isinstance(x, (complex, np.complexfloating)) for x in objects)):
+            return m.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} is not a matrix of real numbers: {exc}") from exc
+    raise ValueError(f"{name} must be real, got complex entries")
+
+
 def as_matrix(a, name="matrix"):
-    """Validate *a* as a dense real matrix: 2-D, non-empty, finite float64."""
-    if np.iscomplexobj(a):  # the cast would drop the imaginary part with only a warning
-        raise ValueError(f"{name} must be real, got complex entries")
-    m = np.asarray(a, dtype=np.float64)
+    """Validate *a* as a dense real matrix: 2-D, non-empty, finite float64 from ``as_float64``."""
+    m = as_float64(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got {m.ndim}-D")
     if m.shape[0] < 1 or m.shape[1] < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import Record, as_matrix, frobenius, nonneg_project, require_allocatable, soft_threshold_nonneg
+from .linalg import Record, as_float64, as_matrix, frobenius, nonneg_project, require_allocatable, soft_threshold_nonneg
 from .objective import (
     LIPSCHITZ_FLOOR,
     evaluate,
@@ -124,7 +124,7 @@ def solve(v, params, config):
     Parameters
     ----------
     v : array_like
-        Nonnegative D x N matrix to factorize.
+        Nonnegative D x N matrix to factorize, converted once by ``as_float64``.
     params : ObjectiveParams
         Regularization weights of the cost.
     config : SolverConfig
@@ -136,10 +136,7 @@ def solve(v, params, config):
         Final factors, per-iteration objective trace, iteration count,
         convergence flag.
     """
-    # One conversion of v to float64, which initialize's as_matrix then
-    # returns as it is; a complex v is left to its "must be real" check.
-    v = np.asarray(v)
-    v = v if np.iscomplexobj(v) else v.astype(np.float64, copy=False)
+    v = as_float64(v, "v")
     w, h = initialize(v, config)  # validates v
     trace = []
     converged = False

@@ -281,6 +281,17 @@ class TestGenerate:
         h_r = np.array([[3.0], [4.0]])
         assert default_sigma(w_r, h_r) == pytest.approx(1.1, rel=1e-15)
 
+    def test_default_sigma_refuses_factors_that_do_not_multiply(self):
+        with pytest.raises(ShapeError, match=r"^cannot multiply 2x3 by 2x3$"):
+            default_sigma(np.ones((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name", ["w_r", "h_r"])
+    def test_default_sigma_names_a_malformed_factor(self, name):
+        factors = {"w_r": np.ones((2, 3)), "h_r": np.ones((3, 4))}
+        factors[name] = factors[name][0]
+        with pytest.raises(ValueError, match=rf"^{name} must be 2-D, got 1-D$"):
+            default_sigma(**factors)
+
 
 class TestScoreRecovery:
     def test_self_match(self):

@@ -22,13 +22,19 @@ from palmnmf import (
     ObjectiveParams,
     SolverConfig,
     SyntheticSpec,
+    default_sigma,
     difference_operator,
+    evaluate,
+    initialize,
+    make_v,
     nonneg_project,
+    save_matrix,
+    score_recovery,
     soft_threshold_nonneg,
     solve,
 )
 from palmnmf.benchmark import CLIP_MODES
-from palmnmf.linalg import frobenius
+from palmnmf.linalg import as_float64, frobenius
 
 
 def _thp_always():
@@ -314,3 +320,81 @@ class TestRecord:
         # k is out of range and comes first, but gamma1's type is checked first.
         with pytest.raises(ValueError, match=r"^gamma1 must be a finite number, got 'a'$"):
             SolverConfig(k=0, gamma1="a")
+
+
+# Each public entry that takes matrices, with valid arguments by name, and
+# the names of its matrix arguments as its messages give them.
+_ENTRIES = {
+    "solve": (lambda v: solve(v, ObjectiveParams(), SolverConfig(k=1, max_iter=2)), {"v": (3, 4)}),
+    "initialize": (lambda v: initialize(v, SolverConfig(k=1)), {"v": (3, 4)}),
+    "evaluate": (lambda v, w, h: evaluate(v, w, h, ObjectiveParams()), {"v": (3, 4), "w": (3, 1), "h": (1, 4)}),
+    "score_recovery": (score_recovery, {"w": (3, 1), "h": (1, 4), "w_true": (3, 1), "h_true": (1, 4)}),
+    "make_v": (lambda w_r, h_r: make_v(w_r, h_r, 0.1, "max_zero", 0), {"w_r": (3, 1), "h_r": (1, 4)}),
+    "default_sigma": (default_sigma, {"w_r": (3, 1), "h_r": (1, 4)}),
+    "save_matrix": (lambda matrix: save_matrix(matrix, "m.csv"), {"matrix": (3, 4)}),
+}
+_ARGUMENTS = [(entry, name) for entry, (_, shapes) in _ENTRIES.items() for name in shapes]
+
+
+class _Counted:
+    """An array-like that counts its conversions to an array."""
+
+    def __init__(self, shape):
+        self.a = np.ones(shape)
+        self.calls = 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.calls += 1
+        return self.a if dtype is None else self.a.astype(dtype)
+
+
+@pytest.mark.parametrize("entry, name", _ARGUMENTS, ids=[f"{e}-{n}" for e, n in _ARGUMENTS])
+class TestEntryConversion:
+    """Every public entry converts each matrix once, through ``as_float64``."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # save_matrix writes m.csv there
+
+    def call(self, entry, name, value):
+        fn, shapes = _ENTRIES[entry]
+        return fn(**{n: value if n == name else np.ones(shape) for n, shape in shapes.items()})
+
+    def test_converts_an_array_like_once(self, entry, name):
+        counted = _Counted(_ENTRIES[entry][1][name])
+        self.call(entry, name, counted)
+        assert counted.calls == 1
+
+    def test_complex_object_entry_is_refused_by_name(self, entry, name):
+        with pytest.raises(ValueError, match=f"^{name} must be real, got complex entries$"):
+            self.call(entry, name, np.array([[1j, 1.0]], dtype=object))
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (np.array([[{}, 1.0]], dtype=object), "float() argument must be a string or a real number, not 'dict'"),
+            ([[10**400, 1.0]], "int too large to convert to float"),
+            ([["a", 1.0]], "could not convert string to float: np.str_('a')"),
+        ],
+        ids=["object", "huge-int", "string"],
+    )
+    def test_unconvertible_entry_is_refused_by_name(self, entry, name, bad, reason):
+        with pytest.raises(ValueError, match=f"^{name} is not a matrix of real numbers: ") as info:
+            self.call(entry, name, bad)
+        assert str(info.value).endswith(reason) and type(info.value) is ValueError
+
+
+class TestAsFloat64:
+    def test_float64_array_comes_back_as_itself(self):
+        m = np.ones((2, 3))[:, ::2]
+        assert as_float64(m, "m") is m
+
+    def test_numpy_complex_in_an_object_array_is_refused(self):
+        # numpy's cast would keep the real part with only a ComplexWarning.
+        for z in (np.complex64(1.0), np.complex128(1.0)):
+            with pytest.raises(ValueError, match="^m must be real, got complex entries$"):
+                as_float64(np.array([[z, 1.0]], dtype=object), "m")
+
+    def test_real_object_array_is_cast(self):
+        m = as_float64(np.array([[1, 2.5, True]], dtype=object), "m")
+        assert m.dtype == np.float64 and m.tolist() == [[1.0, 2.5, 1.0]]

@@ -77,9 +77,9 @@ def load_matrix(path):
 
 
 def _read_lines(path):
-    """load_matrix by the line loop: each line split at commas and its
-    tokens read by float(). It reads what _decode hands back, and raises
-    every ParseError."""
+    """load_matrix by the line loop, for what _decode hands back; it raises
+    every ParseError. A line that float() refuses or whose sum is not
+    finite is scanned for its first token that is not a finite number."""
     values = array("d")
     width = None
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
@@ -94,33 +94,23 @@ def _read_lines(path):
             except ValueError:
                 row = None
             # A non-finite sum flags a nan or inf token, or finite values
-            # whose sum overflows, which _check_tokens lets through.
+            # whose sum overflows, which the scan lets through.
             if row is None or not math.isfinite(sum(row)):
-                _check_tokens(path, lineno, tokens)
+                for colno, token in enumerate(tokens, start=1):
+                    try:
+                        bad = None if math.isfinite(float(token)) else "non-finite value"
+                    except ValueError:
+                        bad = "invalid number"
+                    if bad:
+                        raise ParseError(
+                            f"{path}: line {lineno}, column {colno}: {bad} {token.strip()!r}",
+                            line=lineno,
+                            column=colno,
+                        )
             values.extend(row)
     if width is None:
         raise ParseError(f"{path}: empty matrix file")
     return np.frombuffer(values).reshape(-1, width)
-
-
-def _check_tokens(path, lineno, tokens):
-    """Raise ParseError naming the first token of a line that is not a
-    finite number; return if there is none."""
-    for colno, token in enumerate(tokens, start=1):
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}, column {colno}: invalid number {token.strip()!r}",
-                line=lineno,
-                column=colno,
-            ) from None
-        if not math.isfinite(value):
-            raise ParseError(
-                f"{path}: line {lineno}, column {colno}: non-finite value {token.strip()!r}",
-                line=lineno,
-                column=colno,
-            )
 
 
 def _decode(path):

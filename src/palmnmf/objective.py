@@ -132,12 +132,13 @@ def evaluate(v, w, h, params):
     infinite indicator value; the solver maintains it by construction.
     With eta > 0, ``difference_operator`` checks h's width.
 
-    Plain float64 arrays of consistent shape are costed first, and a
-    finite value with w, h >= 0 is returned without scanning the inputs.
-    Anything else (another type, a non-finite value, a negative entry, an
-    error from ``difference_operator``) takes the full checks in order and
-    then the cost, so errors and warnings do not depend on the path.
+    Plain float64 arrays of consistent shape are costed first; a finite
+    value skips only the input scans and the shape test. Anything else
+    (another type, a non-finite value, an error from ``difference_operator``)
+    takes them in order before the cost. Both paths share the sign checks,
+    so errors and warnings do not depend on the path.
     """
+    value = math.nan
     if _plain(v, w, h):
         # A finite value proves every entry finite, without a scan. Each
         # entry of v is in exactly one residual entry, and a nan or +-inf
@@ -149,25 +150,24 @@ def evaluate(v, w, h, params):
             try:
                 value = _cost(v, w, h, params)
             except ValueError:
-                value = math.nan
-        # The sign checks take each factor's minimum, in one pass and with
-        # no bool temporary; -0.0 is not below 0, as in w < 0.
-        if math.isfinite(value) and np.minimum.reduce(w, None) >= 0 and np.minimum.reduce(h, None) >= 0:
-            return value
-    v = as_matrix(v, "v")
-    w = as_matrix(w, "w")
-    h = as_matrix(h, "h")
-    if w.shape[0] != v.shape[0] or h.shape[1] != v.shape[1] or w.shape[1] != h.shape[0]:
-        raise ShapeError(
-            "inconsistent shapes: v is {}x{}, w is {}x{}, h is {}x{}".format(
-                *v.shape, *w.shape, *h.shape
+                pass
+    if not math.isfinite(value):
+        v = as_matrix(v, "v")
+        w = as_matrix(w, "w")
+        h = as_matrix(h, "h")
+        if w.shape[0] != v.shape[0] or h.shape[1] != v.shape[1] or w.shape[1] != h.shape[0]:
+            raise ShapeError(
+                "inconsistent shapes: v is {}x{}, w is {}x{}, h is {}x{}".format(
+                    *v.shape, *w.shape, *h.shape
+                )
             )
-        )
-    if np.minimum.reduce(w, None) < 0:  # entries now checked finite
+    # Entries are finite here, so each sign check takes one pass for the
+    # minimum, with no bool temporary; -0.0 is not below 0, as in w < 0.
+    if np.minimum.reduce(w, None) < 0:
         raise DomainError("w must be nonnegative")
     if np.minimum.reduce(h, None) < 0:
         raise DomainError("h must be nonnegative")
-    return _cost(v, w, h, params)
+    return value if math.isfinite(value) else _cost(v, w, h, params)
 
 
 def grad_w(v, w, h, params):
@@ -177,11 +177,12 @@ def grad_w(v, w, h, params):
     v h^T is formed as (h v^T)^T. Inputs are trusted (see the module
     docstring).
     """
-    # Each entry of v h^T and of (h v^T)^T is the same dot product of a row
-    # of v with a row of h, and OpenBLAS 0.3.31 gave it bit for bit either
-    # way on every shape tried. It runs the k x D product faster when k is
-    # small against D and N: 4.2 -> 3.2 ms at 1000x2000, k=20, and 0.67 to
-    # 1.13 times the time from 6x5 to 2000x4000 (one core of a 2.1 GHz Xeon).
+    # Each entry of v h^T and of (h v^T)^T is one dot product of a row of v
+    # with a row of h, but BLAS may sum it in another order (OpenBLAS 0.3.31
+    # did at some shapes, D of 257 or 513 with k >= 16; tests/reference.py
+    # associates it this way too). This way runs the k x D product faster
+    # when k is small against D and N: 4.2 -> 3.2 ms at 1000x2000, k=20, and
+    # 0.67 to 1.13 times the time from 6x5 to 2000x4000 (one 2.1 GHz Xeon core).
     # In place on the fresh product g: the same operations in the same order
     # as the expression, without its temporaries.
     g = w @ (h @ h.T)

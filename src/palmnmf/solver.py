@@ -65,7 +65,7 @@ def initialize(v, config):
     memory is a ValueError; a v whose mean overflows is a NumericError.
     """
     v = as_matrix(v, "v")
-    if (v < 0).any():
+    if np.minimum.reduce(v, None) < 0:  # entries checked finite by as_matrix
         raise DomainError("v must be nonnegative")
     require_allocatable("w (rows of v x k)", v.shape[0], config.k)
     require_allocatable("h (k x columns of v)", config.k, v.shape[1])
@@ -81,33 +81,31 @@ def initialize(v, config):
     return w0, h0
 
 
+def _descend(x, g, c, name):
+    """The gradient step x - g / c, in place in the fresh gradient g. A
+    non-finite entry, even a -inf the prox would clamp to 0, is refused."""
+    g /= c
+    np.subtract(x, g, out=g)
+    if not np.isfinite(g).all():
+        raise NumericError(f"{name} update produced non-finite values")
+    return g
+
+
 def palm_step(v, w, h, params, config):
     """One alternating update; returns (w_next, h_next).
 
-    The w block steps first; the h block then uses the updated w in both
-    its step modulus and its gradient. v, w, h are trusted to be finite
-    float64 2-D arrays of consistent shape, as ``solve`` passes them.
+    Each block takes PALM's step prox(x - grad / c): w first, then h with
+    the updated w in both its step modulus and its gradient. v, w, h are
+    trusted to be finite float64 2-D arrays of consistent shape, as
+    ``solve`` passes them.
     """
-    # Overflow inside the updates is detected by the explicit finiteness
-    # checks below, so numpy's warnings are redundant here. Each gradient is
-    # a fresh array, so it is divided and subtracted from in place: the same
-    # operations as w - grad / c, without the temporaries.
+    # Overflow inside the updates is detected by _descend's finiteness
+    # check, so numpy's warnings are redundant here.
     with np.errstate(over="ignore", invalid="ignore"):
         c = config.gamma1 * lipschitz_w(h, params)
-        z = grad_w(v, w, h, params)
-        z /= c
-        np.subtract(w, z, out=z)
-        if not np.isfinite(z).all():
-            raise NumericError("w update produced non-finite values")
-        w_next = soft_threshold_nonneg(z, params.lam / c)
-
+        w_next = soft_threshold_nonneg(_descend(w, grad_w(v, w, h, params), c, "w"), params.lam / c)
         d = config.gamma2 * lipschitz_h(w_next, h.shape[1], params)
-        y = grad_h(v, w_next, h, params)
-        y /= d
-        np.subtract(h, y, out=y)
-        if not np.isfinite(y).all():
-            raise NumericError("h update produced non-finite values")
-        h_next = nonneg_project(y)
+        h_next = nonneg_project(_descend(h, grad_h(v, w_next, h, params), d, "h"))
     return w_next, h_next
 
 

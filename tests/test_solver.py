@@ -14,8 +14,10 @@ from palmnmf import (
     NumericError,
     ObjectiveParams,
     SolverConfig,
+    SyntheticSpec,
     default_variants,
     evaluate,
+    generate,
     grad_h,
     grad_w,
     initialize,
@@ -25,6 +27,7 @@ from palmnmf import (
     palm_step,
     soft_threshold_nonneg,
     solve,
+    variant_label,
 )
 
 DESCENT_SLACK = 1e-9
@@ -518,3 +521,44 @@ class TestSolve:
             res = solve(v, params, SolverConfig(k=2, seed=seed, max_iter=3000))
             errs.append(np.linalg.norm(v - res.w @ res.h) / np.linalg.norm(v))
         assert min(errs) < 1e-2
+
+
+def _v_with_zero_row_and_column():
+    v = np.random.default_rng(8).uniform(0, 2, (30, 40))
+    v[7] = 0.0
+    v[:, 13] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("j", [-3, 2, 5])
+@pytest.mark.parametrize(
+    "params",
+    [ObjectiveParams(), ObjectiveParams(lam=0.5, eta=1.0), ObjectiveParams(lam=0.2, eta=0.3, beta_w=0.0, beta_h=0.02)],
+    ids=variant_label,
+)
+@pytest.mark.parametrize(
+    ("v", "k"),
+    [
+        (generate(SyntheticSpec(d=257, k=16, n=100, sigma=0.1, seed=11))[0], 16),
+        (_v_with_zero_row_and_column(), 4),
+        (np.random.default_rng(9).uniform(0, 1, (64, 33)), 7),
+        (np.random.default_rng(10).uniform(0, 5, (3, 2)), 1),
+    ],
+    ids=["257x100-k16", "zero-row-and-column", "64x33-k7", "3x2-k1"],
+)
+def test_scaling_law_is_exact(v, k, params, j):
+    # The cost is degree 2 in v and degree 4 in (w, h), so with v, beta_w,
+    # beta_h and eta scaled by alpha = 4**j and lam by alpha**1.5, every
+    # draw, gradient, modulus, threshold and prox scales by a power of two,
+    # which is exact: w and h come out 2**j times, the trace 16**j times.
+    alpha = 4.0**j
+    scaled = ObjectiveParams(
+        lam=params.lam * alpha**1.5, eta=params.eta * alpha, beta_w=params.beta_w * alpha, beta_h=params.beta_h * alpha
+    )
+    config = SolverConfig(k=k, seed=3, max_iter=40, tol=1e-4)
+    res = solve(v, params, config)
+    big = solve(alpha * v, scaled, config)
+    assert big.iterations == res.iterations and big.converged == res.converged
+    assert big.w.tobytes() == (2.0**j * res.w).tobytes()
+    assert big.h.tobytes() == (2.0**j * res.h).tobytes()
+    assert np.array(big.objective_trace).tobytes() == (16.0**j * np.array(res.objective_trace)).tobytes()

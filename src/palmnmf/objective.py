@@ -9,9 +9,9 @@ where D is the adjacent-column difference operator, ||.||_1 is the
 entrywise sum of absolute values, and w, h are kept nonnegative by the
 solver. The l1 term is non-smooth and is handled by the solver's
 proximal step; ``grad_w``/``grad_h`` differentiate everything else.
-``grad_h`` multiplies h by the dense D and applies D^T to the product
-by its two-term stencil: each entry of (h D) D^T is one difference of
-two adjacent entries of h D.
+``grad_h`` and ``evaluate`` take h D by slicing and ``grad_h`` applies
+D^T by its two-term stencil, so neither reads D: they build it, once per
+width, only so that ``difference_operator``'s two rules run.
 
 ``evaluate`` validates its matrices, plain float64 arrays by the value
 it computes from them. The gradients and step moduli are step kernels
@@ -114,8 +114,9 @@ def _cost(v, w, h, params):
     except OverflowError:
         value = math.inf
     if params.eta > 0:
-        hd = h @ difference_operator(h.shape[1])
-        value += params.eta * float(np.add.reduce(hd * hd, None))
+        difference_operator(h.shape[1])  # only for its two refusals
+        hd = h[:, :-1] - h[:, 1:]  # h D but for the sign of a zero (see grad_h), which squaring drops
+        value += params.eta * float(np.add.reduce(np.square(hd, out=hd), None))
     value += params.lam * float(np.add.reduce(w, None))  # no abs: w >= 0 is checked by the caller
     # The ridge terms must be added even at weight 0 (0 * inf is nan): they
     # carry every entry of w and h into the value, and evaluate's check by
@@ -195,26 +196,29 @@ def grad_w(v, w, h, params):
 def grad_h(v, w, h, params):
     """Gradient of the smooth part of the cost with respect to h.
 
-    2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h. h D is a product
-    with the dense D; D^T is applied to it by its stencil: column j of
-    (h D) D^T is (h D)[:, j] - (h D)[:, j-1], less the terms past either
-    end. Inputs are trusted; with eta > 0, ``difference_operator`` checks
-    h's width.
+    2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h. h D is taken by
+    slicing, (h D)[:, j] = h[:, j] - h[:, j+1], and D^T is applied to it
+    by its stencil: column j of (h D) D^T is (h D)[:, j] - (h D)[:, j-1],
+    less the terms past either end. Inputs are trusted; with eta > 0,
+    ``difference_operator`` checks h's width.
     """
     g = (w.T @ w) @ h  # in place from here, as in grad_w
     g -= w.T @ v
     g += params.beta_h * h
     if params.eta > 0:
-        hd = h @ difference_operator(h.shape[1])
-        # Each entry is the one difference, or the one term, that the dense
-        # hd @ D^T rounds to, so the values are equal; only the sign of a
-        # zero may differ (the last column's -hd gives -0.0 where BLAS gives
-        # +0.0). g + (+-0) differs only where g is -0.0, and g, which ends in
-        # + beta_h h, is not: h holds no -0.0 on any solver path (initialize
-        # draws from [0, s]; np.maximum(y, 0.0) is +0.0 for y = +-0). So g is
-        # the dense product's bit for bit. Plain slice assignment throughout:
-        # numpy 2.4.6's np.negative(x, out=<strided view>) gives wrong values
-        # when x's stride is 8 elements.
+        difference_operator(h.shape[1])  # only for its two refusals
+        # h @ D and hd @ D^T sum, per entry, one or two products by +-1 and +0
+        # terms: whatever BLAS's blocking, that rounds once, to the one
+        # difference or term that the slices and the stencil take, so the
+        # values are equal. Only the sign of a zero may differ: x - x is +0
+        # both ways, but a -0.0 in h, or the last column's -hd, may give -0.0
+        # where BLAS gives +0.0. g + (+-0) differs only where g is -0.0, and g,
+        # which ends in + beta_h h, is not: h holds no -0.0 on any solver path
+        # (initialize draws from [0, s]; np.maximum(y, 0.0) is +0.0 for y =
+        # +-0). So g is the dense products' bit for bit. Plain slice assignment
+        # throughout: numpy 2.4.6's np.negative(x, out=<strided view>) gives
+        # wrong values when x's stride is 8 elements.
+        hd = h[:, :-1] - h[:, 1:]
         hddt = np.empty_like(h)
         hddt[:, 0] = hd[:, 0]
         hddt[:, 1:-1] = hd[:, 1:] - hd[:, :-1]

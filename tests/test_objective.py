@@ -21,12 +21,14 @@ from palmnmf import (
     DomainError,
     ObjectiveParams,
     ShapeError,
+    SolverConfig,
     difference_operator,
     evaluate,
     grad_h,
     grad_w,
     lipschitz_h,
     lipschitz_w,
+    solve,
 )
 from palmnmf.objective import LIPSCHITZ_FLOOR
 
@@ -141,6 +143,29 @@ class TestEvaluate:
             assert evaluate(v, w, h, params) == self.explicit(v, w, h, params)
             for m, copy in zip((v, w, h), copies):
                 assert m.tobytes() == copy.tobytes()
+
+    def test_smoothness_term_bitwise_dense_product_over_widths(self):
+        # Every width from 2 to 70, then two wide ones; random h, h with a
+        # zero row and equal adjacent columns (exact zero differences), and
+        # h holding -0.0, whose differences may differ from the dense
+        # product's in the sign of a zero. With v = w = 0 and eta = 1 the
+        # value is the smoothness term alone; the other params add the rest.
+        rng = np.random.default_rng(46)
+        term = ObjectiveParams(eta=1.0, beta_w=0.0, beta_h=0.0)
+        full = ObjectiveParams(lam=0.3, eta=0.7, beta_w=0.05, beta_h=0.2)
+        for n in [*range(2, 71), 200, 2000]:
+            k = n % 5 + 1
+            paired = np.repeat(rng.uniform(0, 1, (k, (n + 1) // 2)), 2, axis=1)[:, :n]
+            paired[k // 2] = 0.0
+            signed = rng.uniform(0, 1, (k, n))
+            signed[rng.uniform(0, 1, (k, n)) < 0.3] = -0.0
+            signed[:, ::3] = 0.0
+            alone = (np.zeros((4, n)), np.zeros((4, k)), term)
+            for h in (rng.uniform(0, 1, (k, n)), paired, signed):
+                for v, w, params in (alone, (rng.uniform(0, 1, (4, n)), rng.uniform(0, 1, (4, k)), full)):
+                    value = evaluate(v, w, h, params)
+                    expected = self.explicit(v, w, h, params)
+                    assert np.float64(value).tobytes() == np.float64(expected).tobytes(), f"k={k}, n={n}"
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_l1_term_of_signed_zeros_bitwise(self, lam):
@@ -452,3 +477,30 @@ def test_difference_operator_beyond_memory_refused_by_every_caller(caller, monke
     }
     with pytest.raises(ValueError, match=rf"^the difference operator \(n x n-1\) would be {n}x{n - 1}: "):
         calls[caller]()
+
+
+def test_smoothed_loop_reads_no_entry_of_the_operator(monkeypatch, acceptance_06_v):
+    # difference_operator still runs, for its two refusals, but hands out
+    # NaN: a product with it would make the gradient and the value NaN.
+    v = acceptance_06_v
+    rng = np.random.default_rng(47)
+    w, h = rng.uniform(0, 1, (100, 5)), rng.uniform(0, 1, (5, 200))
+    params = ObjectiveParams(lam=0.5, eta=1.0)
+
+    def results():
+        res = solve(v, params, SolverConfig(k=5, seed=1000, max_iter=100))
+        out = grad_h(v, w, h, params), np.float64(evaluate(v, w, h, params)), res.w, res.h, res.objective_trace
+        return dict(zip(["grad_h", "evaluate", "W", "H", "trace"], (np.array(m).tobytes() for m in out)))
+
+    expected = results()
+    real = objective.difference_operator
+
+    def nan_operator(n):
+        nan = np.full(real(n).shape, math.nan)
+        nan.flags.writeable = False
+        return nan
+
+    monkeypatch.setattr(objective, "difference_operator", nan_operator)
+    got = results()
+    for name in expected:
+        assert got[name] == expected[name], name

@@ -71,3 +71,20 @@ def test_wide_k_shapes_factors_bitwise(d, n, k, params):
         assert np.array(res.objective_trace).tobytes() == np.array(trace).tobytes()
     for a, b in zip(res.objective_trace, trace):
         assert abs(a - b) <= 4 * math.ulp(b)
+
+
+@pytest.mark.parametrize("params", default_variants(), ids=variant_label)
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_narrow_widths_with_a_zero_column_bitwise(n, params):
+    # At n = 9, hd[:, -1] has a stride of 8 elements. Without smoothness
+    # the prox clamps an entry of h in the zero column of v to +0.0. The
+    # sparse solve at n = 2 stops on its tolerance after 27 iterations.
+    v = np.random.default_rng(n).uniform(0, 1, (6, n))
+    v[:, n // 2] = 0.0
+    config = SolverConfig(k=2, seed=5, max_iter=50, tol=1e-15)
+    res = solve(v, params, config)
+    w, h, trace = reference.solve(v, params, config)
+    assert res.iterations == len(trace) - 1 >= 27
+    assert res.w.tobytes() == w.tobytes()
+    assert res.h.tobytes() == h.tobytes()
+    assert np.array(res.objective_trace).tobytes() == np.array(trace).tobytes()

@@ -60,9 +60,10 @@ def as_matrix(a, name="matrix"):
 
 def require_allocatable(label, rows, cols):
     """Raise ValueError if a rows x cols float64 matrix would not fit in
-    physical memory. *rows* and *cols* are Python ints, multiplied exactly,
-    so the check holds for any size and runs before numpy allocates."""
-    need = 8 * rows * cols
+    physical memory. *rows* and *cols* are integers, numpy's too, multiplied
+    exactly as Python ints, so the check holds for any size and runs before
+    numpy allocates."""
+    need = 8 * operator.index(rows) * operator.index(cols)
     try:
         limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform

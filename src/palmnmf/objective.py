@@ -10,8 +10,8 @@ entrywise sum of absolute values, and w, h are kept nonnegative by the
 solver. The l1 term is non-smooth and is handled by the solver's
 proximal step; ``grad_w``/``grad_h`` differentiate everything else.
 ``grad_h`` and ``evaluate`` take h D by slicing and ``grad_h`` applies
-D^T by its two-term stencil, so neither reads D: they build it, once per
-width, only so that ``difference_operator``'s two rules run.
+D^T by its two-term stencil, so neither reads D: they build it only so
+that ``difference_operator``'s two rules run.
 
 ``evaluate`` validates its matrices, plain float64 arrays by the value
 it computes from them. The gradients and step moduli are step kernels
@@ -19,9 +19,7 @@ that trust theirs (finite float64 2-D arrays of consistent
 shape, as ``solve`` passes them) and check only scalars.
 """
 
-import functools
 import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,37 +47,24 @@ class ObjectiveParams(Record):
     beta_h: float = field(default=0.1, metadata={"ge": 0, "help": "ridge weight on H"})
 
 
-@functools.lru_cache(maxsize=1, typed=True)
 def difference_operator(n):
     """The n x (n-1) matrix D with D[j,j]=1, D[j+1,j]=-1, zero elsewhere.
 
     Right-multiplying takes adjacent-column differences:
     (M @ D)[:, j] == M[:, j] - M[:, j+1]. An n below 2, or whose D would
-    not fit in physical memory, is a ValueError raised before allocating.
-
-    The last D built is kept and returned, read-only, to every later call
-    with the same n, until another n is asked for or the process exits.
-    Errors are not kept, so both checks run on every call that builds.
-
-    D is a dense C-ordered array of 8 n (n-1) bytes (32 MB at n = 2000),
-    but only its pages that hold a diagonal entry are resident: it lives
-    in a private anonymous mapping, whose pages the kernel fills on demand,
-    and a page that is only ever read maps the one shared zero page (about
-    8 MB resident at n = 2000). np.zeros would advise transparent huge
-    pages for an array this large, and writing the diagonals would then
-    make nearly all of it resident; a THP mode of "always" does the same
-    to the mapping. Where mmap has no MAP_PRIVATE (Windows) the mapping
-    takes the default flags, with the same values.
+    not fit in physical memory, is a ValueError raised before allocating:
+    a product with D, or np.array(D), makes that dense array, because numpy
+    copies a non-contiguous operand. D itself is a fresh read-only view of
+    2n - 2 numbers per call: entry (i, j) is t[n - 2 + i - j] of a stencil t.
     """
     if n < 2:
         raise ValueError(f"the difference operator needs at least 2 columns, got n={n}")
     require_allocatable("the difference operator (n x n-1)", n, n - 1)
-    private = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
-    d = np.frombuffer(mmap.mmap(-1, 8 * n * (n - 1), **private), np.float64).reshape(n, n - 1)
-    idx = np.arange(n - 1)
-    d[idx, idx] = 1.0
-    d[idx + 1, idx] = -1.0
-    d.flags.writeable = False
+    n = int(n)  # exact, as require_allocatable admits integers only; numpy's would wrap below
+    t = np.zeros(2 * n - 2)
+    t[n - 2 : n] = 1.0, -1.0
+    d = np.ndarray((n, n - 1), np.float64, t, 8 * (n - 2), (8, -8))
+    d.flags.writeable = False  # every diagonal aliases one entry of t
     return d
 
 

@@ -11,6 +11,7 @@ hand-written table of edge values and messages.
 import json
 import math
 import os
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from palmnmf import (
     default_sigma,
     difference_operator,
     evaluate,
+    generate,
     initialize,
     make_v,
     nonneg_project,
@@ -34,15 +36,7 @@ from palmnmf import (
     solve,
 )
 from palmnmf.benchmark import CLIP_MODES
-from palmnmf.linalg import as_float64, frobenius
-
-
-def _thp_always():
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
-            return "[always]" in f.read()
-    except OSError:
-        return False
+from palmnmf.linalg import as_float64, frobenius, require_allocatable
 
 
 class TestDifferenceOperator:
@@ -88,60 +82,55 @@ class TestDifferenceOperator:
         with pytest.raises(ValueError, match=r"at least 2 columns, got n=1$"):
             difference_operator(1)
 
-
-class TestDifferenceOperatorCache:
-    def test_same_n_shares_one_read_only_array(self):
-        g = difference_operator(6)
-        assert difference_operator(6) is g
-        assert g.flags.c_contiguous and g.dtype == np.float64
-        with pytest.raises(ValueError, match="read-only"):
-            g[0, 0] = 2.0
-
-    def test_new_width_replaces_the_kept_one(self):
-        g4 = difference_operator(4)
-        g5 = difference_operator(5)
-        np.testing.assert_array_equal(g5, np.eye(5, 4) - np.eye(5, 4, -1))
-        assert difference_operator(5) is g5
-        assert difference_operator(4) is not g4
-        np.testing.assert_array_equal(difference_operator(4), g4)
-
     def test_float_n_does_not_hit_the_int_entry(self):
         difference_operator(n=5)
         with pytest.raises(TypeError):
             difference_operator(n=5.0)
 
-    def test_memory_refusal_after_a_small_n_is_kept(self):
-        g3 = difference_operator(3)
-        n = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8) + 2
-        with pytest.raises(ValueError, match=rf"^the difference operator \(n x n-1\) would be {n}x{n - 1}: "):
-            difference_operator(n)
-        assert difference_operator(3) is g3
+    def test_values_at_every_width(self):
+        for n in (*range(2, 71), 2000, np.uint8(200), np.int16(300)):
+            g = difference_operator(n)
+            assert g.dtype == np.float64
+            np.testing.assert_array_equal(g, np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
 
-    def test_smoothed_solve_builds_the_operator_once(self):
-        # solve evaluates the objective at iteration 0, then calls grad_h
-        # and evaluate once each per iteration: one build, 2 m reuses.
-        difference_operator.cache_clear()
-        v = np.random.default_rng(3).uniform(size=(6, 9))
-        result = solve(v, ObjectiveParams(eta=0.5), SolverConfig(k=2, max_iter=7, tol=1e-300))
-        assert result.iterations == 7
-        info = difference_operator.cache_info()
-        assert (info.misses, info.hits) == (1, 2 * result.iterations)
+    def test_read_only(self):
+        g = difference_operator(6)
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 2.0
+
+    def test_calls_share_no_memory(self):
+        assert not np.shares_memory(difference_operator(6), difference_operator(6))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux's /proc/self/statm")
-    @pytest.mark.skipif(_thp_always(), reason="THP mode 'always' makes the whole operator resident")
-    def test_operator_zero_pages_stay_out_of_memory(self):
-        # G(2000) spans 32 MB, of which only the pages holding a diagonal
-        # entry (about 8 MB) are written; reading every entry must leave the
-        # rest mapped to the shared zero page, not resident.
+    def test_building_at_2000_adds_under_a_megabyte_resident(self):
+        # G(2000) reads as 32 MB of float64 but is a view of 3998 numbers.
         def resident():
             with open("/proc/self/statm") as f:
                 return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
-        difference_operator.cache_clear()
         before = resident()
         g = difference_operator(2000)
-        assert float(g.sum()) == 0.0
-        assert resident() - before < 16e6
+        assert resident() - before < 1e6
+        assert g.shape == (2000, 1999)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: require_allocatable("x", np.int32(2**31 - 1), np.int32(2**31 - 1)), "x"),
+        (lambda: difference_operator(np.int32(2**31 - 1)), r"the difference operator \(n x n-1\)"),
+        (lambda: generate(SyntheticSpec(d=np.int64(2**31), k=1, n=np.int64(2**31), sigma=0.0)), r"v \(d x n\)"),
+        (lambda: initialize(np.ones((3, 4)), SolverConfig(k=np.int64(2**61))), r"w \(rows of v x k\)"),
+    ],
+    ids=["require_allocatable", "difference_operator", "generate", "initialize"],
+)
+def test_numpy_integer_sizes_are_multiplied_exactly(call, named):
+    # Each size's exact byte count is beyond 2**64; numpy's fixed-width
+    # product wraps it to a small number, with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{named} would be .* more than the \d+ bytes of physical memory$"):
+            call()
 
 
 class TestFrobenius:

@@ -14,7 +14,6 @@ moved onto it with ``os.replace``. A write that fails or is interrupted
 leaves the old target, or none, and no temporary file.
 """
 
-import functools
 import json
 import math
 import os
@@ -46,7 +45,8 @@ _BLOCK = 1 << 16
 _MANT = 24
 _PAD = b"0" * _MANT
 _ROWS = np.arange(_MANT, dtype=np.uint8)
-# 10**j for j <= 27: exact long doubles, as 5**27 < 2**63.
+# 10**j for j <= 27: exact long doubles, as 5**27 < 2**63, and for
+# j <= 22 exact doubles too, as 5**22 < 2**53. Both codecs read it.
 _POW10 = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
 # _decode's certificate needs x87 extended precision: a little-endian
 # long double with a 64-bit significand, whose arithmetic rounds to it,
@@ -57,6 +57,30 @@ _DECODER = (
     and np.dtype(np.longdouble).itemsize == 16
     and np.longdouble(1) + np.longdouble(2.0**-63) != 1
 )
+
+
+def _split(a):
+    """Veltkamp's split of float64 *a* into hi + lo == a exactly, each
+    with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# The tables of _encode, built once at import. 10**j for j <= 22 as
+# doubles, and its split.
+_P10 = _POW10[:23].astype(np.float64)
+_POWERS = (_P10, *_split(_P10))
+# The ASCII of "%04d" % g for g < 10000 as little-endian uint32, and its
+# length with trailing zeros stripped.
+_G = np.arange(10000)
+_QUADS = (_G[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
+_SIGNIFICANT = 4 - sum(_G % 10**k == 0 for k in range(1, 5))
+# Per column p, byte 0xFF in the columns before p, 0 elsewhere; and per
+# start * _SLOT + end, byte 1 in columns start..end, 0 elsewhere.
+_COLS = np.arange(_SLOT)
+_PREFIX = np.where(_COLS < _COLS[:, None], np.uint8(255), np.uint8(0)).view("<u8")
+_KEEP = ((_COLS >= _COLS[:, None, None]) & (_COLS <= _COLS[:, None])).reshape(-1, _SLOT).view("<u8")
 
 
 def load_matrix(path):
@@ -259,37 +283,8 @@ def save_matrix(m, path):
             f.write(_encode(m.flat[first : first + _CHUNK], first, m.shape[1]))
 
 
-def _split(a):
-    """Veltkamp's split of float64 *a* into hi + lo == a exactly, each
-    with at most 26 significant bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-@functools.cache
-def _tables():
-    """The lookup tables of _encode, built on first use, so that a process
-    that writes no matrix does not pay for them:
-    - 10**j for j <= 22, exact doubles, and its split;
-    - the ASCII of "%04d" % g for g < 10000 as little-endian uint32, and
-      its length with trailing zeros stripped;
-    - per column p, byte 0xFF in the columns before p, 0 elsewhere;
-    - per start * _SLOT + end, byte 1 in columns start..end, 0 elsewhere.
-    """
-    pow10 = np.array([float(10**j) for j in range(23)])
-    g = np.arange(10000)
-    quads = (g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
-    significant = 4 - sum(g % 10**k == 0 for k in range(1, 5))
-    cols = np.arange(_SLOT)
-    prefix = np.where(cols < cols[:, None], np.uint8(255), np.uint8(0)).view("<u8")
-    keep = ((cols >= cols[:, None, None]) & (cols <= cols[:, None])).reshape(-1, _SLOT).view("<u8")
-    return (pow10, *_split(pow10)), quads, significant, prefix, keep
-
-
-def _digits(a, e, powers):
-    """round_half_even(a * 10**(16 - e)) as int64, for 0 <= 16 - e <= 22;
-    *powers* holds 10**j and its split.
+def _digits(a, e):
+    """round_half_even(a * 10**(16 - e)) as int64, for 0 <= 16 - e <= 22.
 
     Exact where the result N lies in [10**16, 10**17), the only results
     _encode keeps, because:
@@ -301,7 +296,7 @@ def _digits(a, e, powers):
       |err| <= ulp(p) / 2; p + rint(err), summed in int64, is then the
       half-even rounding of p + err that '%.17g' makes, ties included.
     """
-    p10, p_hi, p_lo = (table[16 - e] for table in powers)
+    p10, p_hi, p_lo = (table[16 - e] for table in _POWERS)
     p = a * p10
     a_hi, a_lo = _split(a)
     err = ((a_hi * p_hi - p) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
@@ -317,7 +312,6 @@ def _encode(x, first, ncols):
     is formatted by '%.17g' itself, in one call for the chunk. Each entry
     gets a row of _SLOT bytes, and one mask picks the bytes that count.
     """
-    powers, quads, significant, prefix, keep = _tables()
     n = x.size
     a = np.abs(x)
     zero = a == 0
@@ -327,14 +321,14 @@ def _encode(x, first, ncols):
     # whose 17 digits come out short or long, a rounding carry included,
     # toward it. log10 misses by at most one, next to a power of ten.
     e = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
-    digits = _digits(a, e, powers)
+    digits = _digits(a, e)
     while True:
         up = digits >= 10**17
         wrong = np.flatnonzero(up | (digits < 10**16))
         if not wrong.size:
             break
         e[wrong] += np.where(up[wrong], 1, -1)
-        digits[wrong] = _digits(a[wrong], e[wrong], powers)
+        digits[wrong] = _digits(a[wrong], e[wrong])
     digits[zero] = 0
     e[zero] = 0
 
@@ -348,12 +342,12 @@ def _encode(x, first, ncols):
     words[:, 0] = 0x30000000  # column 3: "0"
     words[:, 1] = 0x30303030 + (d0 << 24)  # columns 4-6: "000"; 7: d0
     for k, g in enumerate((g1, g2, g3, g4), start=2):
-        words[:, k] = quads[g]
+        words[:, k] = _QUADS[g]
     # Significant digits, trailing zeros stripped: 0 for zero.
-    sig = 13 + significant[g4]
+    sig = 13 + _SIGNIFICANT[g4]
     rest = np.flatnonzero(g4 == 0)
     for g, before in ((g3, 9), (g2, 5), (g1, 1)):
-        sig[rest] = before + significant[g[rest]]
+        sig[rest] = before + _SIGNIFICANT[g[rest]]
         rest = rest[g[rest] == 0]
     sig[rest] = d0[rest] != 0
 
@@ -366,7 +360,7 @@ def _encode(x, first, ncols):
     shifted = unshifted << np.uint64(8)
     shifted[1:] |= unshifted[:-1] >> np.uint64(56)  # column 31 is 0
     point = e + 8
-    shifted ^= (unshifted ^ shifted) & prefix.take(point, axis=0).reshape(-1)
+    shifted ^= (unshifted ^ shifted) & _PREFIX.take(point, axis=0).reshape(-1)
     text = shifted.view(np.uint8)
     rows = np.arange(0, n * _SLOT, _SLOT)
     text[rows + point] = ord(".")
@@ -385,7 +379,7 @@ def _encode(x, first, ncols):
     seps = np.full(n, ord(","), np.uint8)
     seps[(-first - 1) % ncols :: ncols] = ord("\n")  # entries that end a row
     text[rows + end] = seps
-    return text[keep.take(start * _SLOT + end, axis=0).view(bool).reshape(-1)]
+    return text[_KEEP.take(start * _SLOT + end, axis=0).view(bool).reshape(-1)]
 
 
 @contextmanager

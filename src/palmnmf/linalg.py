@@ -46,7 +46,7 @@ def as_float64(a, name):
     raise ValueError(f"{name} must be real, got complex entries")
 
 
-def as_matrix(a, name="matrix"):
+def as_matrix(a, name):
     """Validate *a* as a dense real matrix: 2-D, non-empty, finite float64 from ``as_float64``."""
     m = as_float64(a, name)
     if m.ndim != 2:

@@ -20,6 +20,7 @@ shape, as ``solve`` passes them) and check only scalars.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,11 +234,11 @@ def lipschitz_h(w, n, params):
     2 ||w^T w||_F + 2 eta ||D D^T||_F + 2 beta_h, floored. For the
     difference operator D of size n, ||D D^T||_F = sqrt(6n - 8): D D^T is
     tridiagonal with diagonal (1, 2, ..., 2, 1) and off-diagonals -1.
-    w is trusted; n is checked. As in ``lipschitz_w``, the norm of a finite
-    w^T w is finite, and squares that overflow warn unless overflow is
-    ignored.
+    w is trusted; n is checked, as an integer (numpy's too). As in
+    ``lipschitz_w``, the norm of a finite w^T w is finite, and squares
+    that overflow warn unless overflow is ignored.
     """
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     value = 2.0 * frobenius(w.T @ w) + 2.0 * params.beta_h
     if params.eta > 0 and n >= 2:

@@ -456,6 +456,9 @@ class TestStepModuli:
     def test_lipschitz_h_rejects_bad_n(self):
         with pytest.raises(ValueError):
             lipschitz_h(np.ones((2, 2)), 0, ObjectiveParams())
+        for n in (2.5, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                lipschitz_h(np.ones((3, 2)), n, ObjectiveParams(eta=1.0))
 
 
 @pytest.mark.parametrize("caller", ["difference_operator", "evaluate", "grad_h"])

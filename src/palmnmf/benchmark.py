@@ -18,6 +18,9 @@ from .objective import ObjectiveParams
 from .solver import solve
 
 CLIP_MODES = ("max_zero", "absolute")
+# Entries of noise that make_v draws at once, or one row if that is wider:
+# 64 KiB, below glibc's default 128 KiB mmap threshold.
+_NOISE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,27 @@ def make_v(w_r, h_r, sigma, clip_mode, seed):
     Adds i.i.d. Gaussian(0, sigma^2) noise, then clamps negatives to zero
     ("max_zero") or takes absolute values ("absolute"). A non-finite
     noisy product is a NumericError naming sigma.
+
+    The noise is added to the product, v's own array, one block of rows
+    at a time, with the bytes of ``w_r @ h_r + default_rng(seed).normal(0.0,
+    abs(sigma), (d, n))``; abs maps the -0.0 that "ge 0" admits to 0.0.
     """
     SyntheticSpec.check(sigma=sigma, clip_mode=clip_mode, seed=seed)
     w_r, h_r = _factors(w_r, h_r)
-    # abs maps the -0.0 that "ge 0" admits to the 0.0 numpy's normal accepts
+    rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
-        noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, abs(sigma), size=(w_r.shape[0], h_r.shape[1]))
+        noisy = w_r @ h_r
+        step = max(1, _NOISE // noisy.shape[1])
+        block = np.empty((min(step, noisy.shape[0]), noisy.shape[1]))
+        for first in range(0, noisy.shape[0], step):
+            rows = noisy[first : first + step]
+            noise = block[: len(rows)]
+            # normal(0.0, abs(sigma)) is 0.0 + abs(sigma) * standard_normal:
+            # adding 0.0 maps a noise of -0.0 to 0.0
+            rng.standard_normal(out=noise)
+            noise *= abs(sigma)
+            noise += 0.0
+            rows += noise
     if not np.isfinite(noisy).all():  # before clipping, which maps -inf to 0
         raise NumericError(f"the noisy product w_r @ h_r is not finite at sigma={sigma!r}")
     if clip_mode == "max_zero":

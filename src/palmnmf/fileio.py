@@ -28,8 +28,10 @@ from .errors import ParseError
 from .linalg import as_matrix
 
 # Entries encoded at once by save_matrix, so that its temporaries have a
-# fixed size whatever the matrix's shape.
-_CHUNK = 1 << 14
+# fixed size whatever the matrix's shape. The largest, _SLOT bytes per
+# entry, then stays below glibc's default 128 KiB mmap threshold, so a
+# chunk reuses heap memory instead of mapping and faulting in fresh pages.
+_CHUNK = 4000
 # Bytes of text buffer per entry: the longest '%.17g' text,
 # "-1.7976931348623157e+308", and its separator fit, and a buffer row is
 # four uint64 words.

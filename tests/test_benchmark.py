@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,12 @@ def brute_force_match(w, w_true):
         if cost < best_cost:
             best_cost, best_perm = cost, perm
     return best_cost, best_perm
+
+
+def two_array_v(w_r, h_r, sigma, clip_mode, seed):
+    """make_v with the product and the noise as two D x N arrays."""
+    noisy = w_r @ h_r + np.random.default_rng(seed).normal(0.0, abs(sigma), (w_r.shape[0], h_r.shape[1]))
+    return np.maximum(noisy, 0.0) if clip_mode == "max_zero" else np.abs(noisy)
 
 
 class TestSyntheticSpec:
@@ -190,6 +197,43 @@ class TestMakeV:
             rms = np.linalg.norm(v - prod) / np.sqrt(prod.size)
             assert 0.07 <= rms <= 0.13
 
+    @pytest.mark.parametrize("clip_mode", CLIP_MODES)
+    @pytest.mark.parametrize("sigma", [0.3, 0.0, -0.0, 1e308])
+    @pytest.mark.parametrize(
+        "d, n",
+        [
+            (2 * (benchmark._NOISE // 100) + 5, 100),
+            (3, benchmark._NOISE + 3),
+            (3, 2),
+            (benchmark._NOISE // 2 + 1, 2),
+        ],
+        ids=["rows-past-the-last-block", "row-wider-than-a-block", "n-2", "n-2-two-blocks"],
+    )
+    def test_bitwise_the_two_array_noise(self, d, n, sigma, clip_mode):
+        # The noise is drawn a block of rows at a time into v's own array;
+        # the bytes are those of the product plus normal()'s D x N draw.
+        # w_r has negative entries, so products below zero and the sign of
+        # zero go through both clips.
+        rng = np.random.default_rng(d * n)
+        w_r = rng.uniform(-1.0, 1.0, (d, 2))
+        h_r = rng.uniform(0.0, 1.0, (2, n))
+        h_r[:, ::3] = 0.0
+        expected = two_array_v(w_r, h_r, sigma, clip_mode, 3)
+        if np.isfinite(expected).all():
+            assert make_v(w_r, h_r, sigma, clip_mode, 3).tobytes() == expected.tobytes()
+        else:  # noise beyond the largest double, at sigma 1e308
+            with pytest.raises(NumericError):
+                make_v(w_r, h_r, sigma, clip_mode, 3)
+
+    def test_huge_sigma_finite_draw_is_bitwise(self):
+        # Seed 1's six draws are below 1.8 in size, so at sigma 1e308 the
+        # noisy product is finite, its noise near the largest double.
+        w_r, h_r = np.array([[1.0], [-1.0], [0.5]]), np.array([[1.0, 0.0]])
+        for clip_mode in CLIP_MODES:
+            expected = two_array_v(w_r, h_r, 1e308, clip_mode, 1)
+            assert np.isfinite(expected).all() and expected.max() > 1e307
+            assert make_v(w_r, h_r, 1e308, clip_mode, 1).tobytes() == expected.tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             make_v(np.ones((2, 3)), np.ones((2, 2)), 0.1, "max_zero", 0)
@@ -230,6 +274,18 @@ class TestGenerate:
         np.testing.assert_array_equal(w_r, gen_sparse_matrix(12, 3, 0.5, 40))
         np.testing.assert_array_equal(h_r, gen_smooth_rows(3, 25, 41))
         np.testing.assert_array_equal(v, make_v(w_r, h_r, 0.2, "max_zero", 42))
+
+    def test_holds_one_d_by_n_array_and_one_block(self):
+        # One D x N array and one block of noise; the product and the noise
+        # as two D x N arrays would peak at 2.08 times v.
+        spec = SyntheticSpec(d=1000, k=20, n=2000, sigma=0.1, seed=1)
+        tracemalloc.start()
+        try:
+            v, _, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * v.nbytes
 
     @pytest.mark.parametrize(
         "d, k, n, named",

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,9 @@ from hypothesis.extra.numpy import arrays
 
 from palmnmf import (
     ParseError,
+    SyntheticSpec,
     fileio,
+    generate,
     load_matrix,
     save_matrix,
 )
@@ -250,6 +253,20 @@ class TestSaveMatrix:
     def test_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
             save_matrix(np.array([[np.inf]]), tmp_path / "m.csv")
+
+    def test_temporaries_bounded(self, tmp_path):
+        # The encoder's temporaries are a chunk's, whatever the matrix, and
+        # below as_matrix's D x N bool of isfinite, 1.9 MiB for a 1000 x 2000
+        # v. Chunks of 16384 entries would peak at 3.6 MiB.
+        v, _, _ = generate(SyntheticSpec(d=1000, k=20, n=2000, sigma=0.1, seed=1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_matrix(v, tmp_path / "v.csv")
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert extra < 2.5 * 2**20
 
     @pytest.mark.parametrize(
         "m",

@@ -180,6 +180,21 @@ class TestPalmStep:
         with pytest.raises(NumericError):
             palm_step(np.ones((3, 3)), big, big, ObjectiveParams(), SolverConfig(k=3))
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200])
+    def test_partly_collapsed_factor_recovers(self, scale):
+        # h's Gram, at most 60 * scale**2, is far below LIPSCHITZ_FLOOR, so
+        # w's step modulus is the floor, which bounds w's first step. A
+        # floor at the smallest normal double instead made the h update
+        # overflow at step 0 or 1.
+        rng = np.random.default_rng(0)
+        v = rng.uniform(0, 1, (50, 60))
+        w = rng.uniform(0, 1, (50, 3))
+        h = rng.uniform(0, scale, (3, 60))
+        for _ in range(200):
+            w, h = palm_step(v, w, h, ObjectiveParams(beta_w=0, beta_h=0), SolverConfig(k=3))
+        assert np.isfinite(w).all() and np.isfinite(h).all()
+        assert np.linalg.norm(v - w @ h) / np.linalg.norm(v) < 0.5
+
 
 class TestPalmStepFiniteness:
     """palm_step's finiteness test looks at every entry: finite entries whose

@@ -9,9 +9,9 @@ where D is the adjacent-column difference operator, ||.||_1 is the
 entrywise sum of absolute values, and w, h are kept nonnegative by the
 solver. The l1 term is non-smooth and is handled by the solver's
 proximal step; ``grad_w``/``grad_h`` differentiate everything else.
-``grad_h`` and ``evaluate`` take h D by slicing and ``grad_h`` applies
-D^T by its two-term stencil, so neither reads D: they build it only so
-that ``difference_operator``'s two rules run.
+``grad_h`` and ``evaluate`` take h D by one slicing helper, and ``grad_h``
+applies D^T as one shifted difference, so neither reads D. Both step
+moduli are one rule, ``_modulus``: 2 ||gram||_F + 2 beta + smooth, floored.
 
 ``evaluate`` validates its matrices, plain float64 arrays by the value
 it computes from them. The gradients and step moduli are step kernels
@@ -69,6 +69,12 @@ def difference_operator(n):
     return d
 
 
+def _differences(h):
+    """h D by slicing, after ``difference_operator``'s two refusals."""
+    difference_operator(h.shape[1])
+    return h[:, :-1] - h[:, 1:]
+
+
 def _plain(v, w, h):
     """True if v, w and h are float64 ndarrays proper (no subclass, for
     which ``*`` may be a matrix product), 2-D, non-empty and of consistent
@@ -100,8 +106,7 @@ def _cost(v, w, h, params):
     except OverflowError:
         value = math.inf
     if params.eta > 0:
-        difference_operator(h.shape[1])  # only for its two refusals
-        hd = h[:, :-1] - h[:, 1:]  # h D but for the sign of a zero (see grad_h), which squaring drops
+        hd = _differences(h)  # h D but for the sign of a zero (see grad_h), which squaring drops
         value += params.eta * float(np.add.reduce(np.square(hd, out=hd), None))
     value += params.lam * float(np.add.reduce(w, None))  # no abs: w >= 0 is checked by the caller
     # The ridge terms must be added even at weight 0 (0 * inf is nan): they
@@ -183,64 +188,62 @@ def grad_h(v, w, h, params):
     """Gradient of the smooth part of the cost with respect to h.
 
     2 w^T w h - 2 w^T v + 2 eta h D D^T + 2 beta_h h. h D is taken by
-    slicing, (h D)[:, j] = h[:, j] - h[:, j+1], and D^T is applied to it
-    by its stencil: column j of (h D) D^T is (h D)[:, j] - (h D)[:, j-1],
-    less the terms past either end. Inputs are trusted; with eta > 0,
-    ``difference_operator`` checks h's width.
+    slicing, and D^T is applied to it as one shifted difference: column j
+    of (h D) D^T is (h D)[:, j] - (h D)[:, j-1], less the terms past
+    either end. Inputs are trusted; with eta > 0, ``difference_operator``
+    checks h's width.
     """
     g = (w.T @ w) @ h  # in place from here, as in grad_w
     g -= w.T @ v
     g += params.beta_h * h
     if params.eta > 0:
-        difference_operator(h.shape[1])  # only for its two refusals
         # h @ D and hd @ D^T sum, per entry, one or two products by +-1 and +0
         # terms: whatever BLAS's blocking, that rounds once, to the one
-        # difference or term that the slices and the stencil take, so the
-        # values are equal. Only the sign of a zero may differ: x - x is +0
-        # both ways, but a -0.0 in h, or the last column's -hd, may give -0.0
-        # where BLAS gives +0.0. g + (+-0) differs only where g is -0.0, and g,
-        # which ends in + beta_h h, is not: h holds no -0.0 on any solver path
-        # (initialize draws from [0, s]; np.maximum(y, 0.0) is +0.0 for y =
-        # +-0). So g is the dense products' bit for bit. Plain slice assignment
-        # throughout: numpy 2.4.6's np.negative(x, out=<strided view>) gives
-        # wrong values when x's stride is 8 elements.
-        hd = h[:, :-1] - h[:, 1:]
-        hddt = np.empty_like(h)
-        hddt[:, 0] = hd[:, 0]
-        hddt[:, 1:-1] = hd[:, 1:] - hd[:, :-1]
-        hddt[:, -1] = -hd[:, -1]
+        # difference or term that the slices and the shifted difference take.
+        # Only the sign of a zero may differ (a -0.0 in h; 0 + hd, 0 - hd).
+        # g + (+-0) differs only where g is -0.0, and g, which ends in
+        # + beta_h h, is not: h holds no -0.0 on any solver path (initialize
+        # draws from [0, s]; np.maximum(y, 0.0) is +0.0 for y = +-0). So g is
+        # the dense products' bit for bit.
+        hd = _differences(h)
+        hddt = np.zeros_like(h)
+        hddt[:, :-1] += hd
+        hddt[:, 1:] -= hd
         hddt *= params.eta
         g += hddt
     g *= 2.0
     return g
 
 
+def _modulus(gram, beta, smooth=0.0):
+    """The rule of both step moduli: 2 ||gram||_F + 2 beta + smooth, floored."""
+    return max(2.0 * frobenius(gram) + 2.0 * beta + smooth, LIPSCHITZ_FLOOR)
+
+
 def lipschitz_w(h, params):
     """Step modulus for the w block: 2 ||h h^T||_F + 2 beta_w, floored.
 
-    A valid Lipschitz constant of ``grad_w`` as a function of w at fixed h,
-    since the spectral norm is bounded by the Frobenius norm. h is trusted.
+    ``_modulus``, the rule of both blocks, with no smoothness term: a valid
+    Lipschitz constant of ``grad_w`` in w at fixed h, since the spectral
+    norm is bounded by the Frobenius norm. h is trusted.
     The norm is finite whenever h h^T is, though its squares may overflow:
     then numpy warns ``overflow encountered in multiply`` unless the caller
     ignores overflow (``palm_step`` does), and the rescaled norm is returned.
     """
-    value = 2.0 * frobenius(h @ h.T) + 2.0 * params.beta_w
-    return max(value, LIPSCHITZ_FLOOR)
+    return _modulus(h @ h.T, params.beta_w)
 
 
 def lipschitz_h(w, n, params):
     """Step modulus for the h block at fixed w, where n = h's column count.
 
-    2 ||w^T w||_F + 2 eta ||D D^T||_F + 2 beta_h, floored. For the
-    difference operator D of size n, ||D D^T||_F = sqrt(6n - 8): D D^T is
-    tridiagonal with diagonal (1, 2, ..., 2, 1) and off-diagonals -1.
+    2 ||w^T w||_F + 2 beta_h + 2 eta ||D D^T||_F, floored, by ``_modulus``.
+    For D of size n, ||D D^T||_F = sqrt(6n - 8): D D^T is tridiagonal
+    with diagonal (1, 2, ..., 2, 1) and off-diagonals -1.
     w is trusted; n is checked, as an integer (numpy's too). As in
     ``lipschitz_w``, the norm of a finite w^T w is finite, and squares
     that overflow warn unless overflow is ignored.
     """
     if operator.index(n) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    value = 2.0 * frobenius(w.T @ w) + 2.0 * params.beta_h
-    if params.eta > 0 and n >= 2:
-        value += 2.0 * params.eta * math.sqrt(6.0 * n - 8.0)
-    return max(value, LIPSCHITZ_FLOOR)
+    smooth = 2.0 * params.eta * math.sqrt(6.0 * n - 8.0) if params.eta > 0 and n >= 2 else 0.0
+    return _modulus(w.T @ w, params.beta_h, smooth)

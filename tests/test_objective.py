@@ -370,20 +370,27 @@ class TestGradients:
     def test_grad_h_stencil_equals_dense_product(self):
         # Every width from 2 to 70 (at 9, hd[:, -1] has a stride of 8
         # elements), then two wide ones; random h, then h with a zero row and
-        # equal adjacent columns, so that differences of hd are exact zeros.
+        # equal adjacent columns, so that differences of hd are exact zeros,
+        # then h holding -0.0 and zero columns, whose differences may differ
+        # from the dense product's in the sign of a zero. w = 0 leaves g =
+        # beta_h h before the smoothness term, zero wherever h is, so that
+        # term's signed zeros meet zeros of g.
         rng = np.random.default_rng(45)
         shapes = [(k, n) for n in range(2, 71) for k in range(1, 6)] + [(3, 200), (4, 2000)]
         params = ObjectiveParams(eta=0.7, beta_h=0.2)
         for k, n in shapes:
             v = rng.uniform(0, 1, (4, n))
-            w = rng.uniform(0, 1, (4, k))
             paired = np.repeat(rng.uniform(0, 1, (k, (n + 1) // 2)), 2, axis=1)[:, :n]
             paired[k // 2] = 0.0
-            for h in (rng.uniform(0, 1, (k, n)), paired):
-                g = grad_h(v, w, h, params)
-                expected = reference.grad_h(v, w, h, params)
-                np.testing.assert_array_equal(g, expected, err_msg=f"k={k}, n={n}")
-                assert g.tobytes() == expected.tobytes(), f"k={k}, n={n}"
+            signed = rng.uniform(0, 1, (k, n))
+            signed[rng.uniform(0, 1, (k, n)) < 0.3] = -0.0
+            signed[:, ::3] = 0.0
+            for w in (rng.uniform(0, 1, (4, k)), np.zeros((4, k))):
+                for h in (rng.uniform(0, 1, (k, n)), paired, signed):
+                    g = grad_h(v, w, h, params)
+                    expected = reference.grad_h(v, w, h, params)
+                    np.testing.assert_array_equal(g, expected, err_msg=f"k={k}, n={n}")
+                    assert g.tobytes() == expected.tobytes(), f"k={k}, n={n}"
 
     def test_grad_w_ignores_l1_weight(self):
         rng = np.random.default_rng(44)

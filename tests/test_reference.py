@@ -97,6 +97,28 @@ def test_narrow_widths_with_a_zero_column_bitwise(n, params):
     assert np.array(res.objective_trace).tobytes() == np.array(trace).tobytes()
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.7])
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+@pytest.mark.parametrize("n", [1, 2, 7, 2000])
+def test_step_moduli_are_the_oracles_bitwise(n, beta, eta):
+    # Both moduli against the oracle's one rule, by bytes, so that an
+    # association slip (say 2 ||gram|| + (2 beta + smooth)) shows: random
+    # factors of several shapes, then zero ones, whose floor binds at
+    # beta = 0. Grams whose squares overflow are test_objective's.
+    rng = np.random.default_rng(n)
+    p = ObjectiveParams(eta=eta, beta_w=beta, beta_h=beta)
+    smooth = 2.0 * eta * np.sqrt(6.0 * n - 8.0) if eta > 0 and n >= 2 else 0.0
+    for d, k in [(1, 1), (6, 3), (40, 17), (300, 20), (5, 1)]:
+        for w, h in ((rng.uniform(0, 1, (d, k)), rng.uniform(0, 1, (k, n))), (np.zeros((d, k)), np.zeros((k, n)))):
+            expected_w = reference.modulus(h @ h.T, p.beta_w)
+            expected_h = reference.modulus(w.T @ w, p.beta_h, smooth)
+            assert np.float64(lipschitz_w(h, p)).tobytes() == np.float64(expected_w).tobytes(), (d, k)
+            assert np.float64(lipschitz_h(w, n, p)).tobytes() == np.float64(expected_h).tobytes(), (d, k)
+            if not w.any() and beta == 0:
+                assert lipschitz_w(h, p) == objective.LIPSCHITZ_FLOOR
+                assert (lipschitz_h(w, n, p) == objective.LIPSCHITZ_FLOOR) == (smooth == 0)
+
+
 # A weight of 0, or from 1e-6 to 1e7, relative to the entries' scale.
 _WEIGHTS = st.just(0.0) | st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-6, 6))
 

@@ -341,11 +341,14 @@ def run_comparison(spec, variants, config, repeats):
     initialization seeds config.seed, config.seed + 1, ... (the data seed
     stays fixed in ``spec``), and every run is scored against the ground
     truth. Per-run failures (NumericError, ValueError) are recorded in the
-    table instead of raised; any other exception propagates. A config.k
-    other than spec.k is a ValueError, raised before anything is drawn.
+    table instead of raised; any other exception propagates. A bool or a
+    number below 1 as ``repeats``, and a config.k other than spec.k, are
+    ValueErrors, raised before anything is drawn.
 
     Returns a list of VariantResult in the order the variants were given.
     """
+    if isinstance(repeats, bool):  # an int to Python, but not a count, as in Record.check
+        raise ValueError(f"repeats must be an integer, got {repeats!r}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if config.k != spec.k:

@@ -32,6 +32,13 @@ _BOUNDS = {
     "in": (lambda value, allowed: value in allowed, "one of"),
 }
 
+# Bytes of physical memory, the bound of require_allocatable; with no
+# sysconf on this platform, nothing is refused.
+try:
+    _PHYS_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, ValueError, OSError):
+    _PHYS_BYTES = math.inf
+
 
 def as_float64(a, name):
     """*a* converted once to a float64 ndarray (itself if it is one), or a ValueError naming it."""
@@ -60,18 +67,14 @@ def as_matrix(a, name):
 
 def require_allocatable(label, rows, cols):
     """Raise ValueError if a rows x cols float64 matrix would not fit in
-    physical memory. *rows* and *cols* are integers, numpy's too, multiplied
-    exactly as Python ints, so the check holds for any size and runs before
-    numpy allocates."""
+    physical memory, read once, at import. *rows* and *cols* are integers,
+    numpy's too, multiplied exactly as Python ints, so the check holds for
+    any size and runs before numpy allocates."""
     need = 8 * operator.index(rows) * operator.index(cols)
-    try:
-        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
-        return
-    if need > limit:
+    if need > _PHYS_BYTES:
         raise ValueError(
             f"{label} would be {rows}x{cols}: {need} bytes of float64, "
-            f"more than the {limit} bytes of physical memory"
+            f"more than the {_PHYS_BYTES} bytes of physical memory"
         )
 
 

@@ -206,7 +206,7 @@ def grad_h(v, w, h, params):
         # draws from [0, s]; np.maximum(y, 0.0) is +0.0 for y = +-0). So g is
         # the dense products' bit for bit.
         hd = _differences(h)
-        hddt = np.zeros_like(h)
+        hddt = np.zeros(h.shape)
         hddt[:, :-1] += hd
         hddt[:, 1:] -= hd
         hddt *= params.eta

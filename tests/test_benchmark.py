@@ -563,8 +563,11 @@ class TestRunComparison:
             run_comparison(SMALL_SPEC, [ObjectiveParams()], SMALL_CFG, repeats=1)
 
     def test_rejects_bad_repeats(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^repeats must be >= 1, got 0$"):
             run_comparison(SMALL_SPEC, [ObjectiveParams()], SMALL_CFG, repeats=0)
+        # True ran one repeat; Record refuses a bool for an integer field too.
+        with pytest.raises(ValueError, match=r"^repeats must be an integer, got True$"):
+            run_comparison(SMALL_SPEC, [ObjectiveParams()], SMALL_CFG, repeats=True)
 
     def test_rejects_k_other_than_the_specs_before_generating(self, monkeypatch):
         def no_data(spec):

@@ -11,6 +11,8 @@ hand-written table of edge values and messages.
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -131,6 +133,41 @@ def test_numpy_integer_sizes_are_multiplied_exactly(call, named):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{named} would be .* more than the \d+ bytes of physical memory$"):
             call()
+
+
+class TestPhysicalMemoryIsReadAtImport:
+    def test_refusals_compare_against_the_import_time_size(self, monkeypatch):
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+        def gone(name):
+            raise OSError(f"sysconf({name!r}) called after import")
+
+        monkeypatch.setattr(os, "sysconf", gone)
+        need = 8 * 2**80
+        message = f"x would be {2**40}x{2**40}: {need} bytes of float64, more than the {limit} bytes of physical memory"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            require_allocatable("x", 2**40, 2**40)
+        require_allocatable("x", 1, 1)
+
+    @pytest.mark.parametrize(
+        "no_sysconf",
+        [
+            "del os.sysconf",
+            "def sysconf(name):\n    raise ValueError(name)\nos.sysconf = sysconf",
+            "def sysconf(name):\n    raise OSError(name)\nos.sysconf = sysconf",
+        ],
+        ids=["missing", "unknown-name", "os-error"],
+    )
+    def test_without_sysconf_nothing_is_refused(self, no_sysconf, cli_env):
+        # linalg reads sysconf once, at import, so a child process must
+        # take it away before the first import of the package.
+        script = (
+            f"import os\n{no_sysconf}\n"
+            "from palmnmf.linalg import require_allocatable\n"
+            "require_allocatable('x', 2**40, 2**40)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=cli_env)
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 class TestFrobenius:

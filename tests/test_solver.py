@@ -545,7 +545,14 @@ def _v_with_zero_row_and_column():
     return v
 
 
-@pytest.mark.parametrize("j", [-3, 2, 5])
+# From alpha = 4**-30 down (j = -20 still holds) a step modulus falls under
+# the absolute LIPSCHITZ_FLOOR, which does not scale; these pass once it does.
+_FLOOR_BREAKS_SCALING = pytest.mark.xfail(strict=True, reason="ROADMAP item 15: absolute LIPSCHITZ_FLOOR")
+
+
+@pytest.mark.parametrize(
+    "j", [-3, 2, 5, pytest.param(-40, marks=_FLOOR_BREAKS_SCALING), pytest.param(-60, marks=_FLOOR_BREAKS_SCALING)]
+)
 @pytest.mark.parametrize(
     "params",
     [ObjectiveParams(), ObjectiveParams(lam=0.5, eta=1.0), ObjectiveParams(lam=0.2, eta=0.3, beta_w=0.0, beta_h=0.02)],

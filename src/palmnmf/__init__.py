@@ -2,6 +2,8 @@
 minimization, with optional l1 sparsity on W, smoothness on H, and ridge
 scale control, plus synthetic recovery benchmarks and a CLI."""
 
+from types import ModuleType as _Module
+
 from .benchmark import (
     RecoveryScore,
     RunScore,
@@ -33,38 +35,5 @@ from .solver import FactorizationResult, SolverConfig, initialize, palm_step, so
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "FactorizationResult",
-    "NumericError",
-    "ObjectiveParams",
-    "ParseError",
-    "RecoveryScore",
-    "RunScore",
-    "ShapeError",
-    "SolverConfig",
-    "SyntheticSpec",
-    "VariantResult",
-    "default_sigma",
-    "default_variants",
-    "difference_operator",
-    "evaluate",
-    "gen_smooth_rows",
-    "gen_sparse_matrix",
-    "generate",
-    "grad_h",
-    "grad_w",
-    "initialize",
-    "lipschitz_h",
-    "lipschitz_w",
-    "load_matrix",
-    "make_v",
-    "nonneg_project",
-    "palm_step",
-    "run_comparison",
-    "save_matrix",
-    "score_recovery",
-    "soft_threshold_nonneg",
-    "solve",
-    "variant_label",
-]
+# Every public binding above, sorted: the imports are the one list of exports.
+__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module)))

@@ -8,6 +8,7 @@ initializations.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -343,7 +344,7 @@ def run_comparison(spec, variants, config, repeats):
     truth. Per-run failures (NumericError, ValueError) are recorded in the
     table instead of raised; any other exception propagates. A bool or a
     number below 1 as ``repeats``, and a config.k other than spec.k, are
-    ValueErrors, raised before anything is drawn.
+    ValueErrors, a non-integer count a TypeError, before anything is drawn.
 
     Returns a list of VariantResult in the order the variants were given.
     """
@@ -351,6 +352,7 @@ def run_comparison(spec, variants, config, repeats):
         raise ValueError(f"repeats must be an integer, got {repeats!r}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    operator.index(repeats)  # range()'s TypeError for a non-integer, before anything is drawn
     if config.k != spec.k:
         raise ValueError(f"config.k must equal spec.k, got {config.k} and {spec.k}")
     v, w_r, h_r = generate(spec)

@@ -576,3 +576,5 @@ class TestRunComparison:
         monkeypatch.setattr(benchmark, "generate", no_data)
         with pytest.raises(ValueError, match=r"^config.k must equal spec.k, got 3 and 2$"):
             run_comparison(SMALL_SPEC, [ObjectiveParams()], SolverConfig(k=3), repeats=1)
+        with pytest.raises(TypeError, match=r"^'float' object cannot be interpreted as an integer$"):
+            run_comparison(SMALL_SPEC, [ObjectiveParams()], SMALL_CFG, repeats=2.0)

@@ -8,13 +8,12 @@ initializations.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .linalg import Record, as_matrix, require_allocatable
+from .linalg import Record, as_matrix, require_allocatable, require_count
 from .objective import ObjectiveParams
 from .solver import solve
 
@@ -342,17 +341,13 @@ def run_comparison(spec, variants, config, repeats):
     initialization seeds config.seed, config.seed + 1, ... (the data seed
     stays fixed in ``spec``), and every run is scored against the ground
     truth. Per-run failures (NumericError, ValueError) are recorded in the
-    table instead of raised; any other exception propagates. A bool or a
-    number below 1 as ``repeats``, and a config.k other than spec.k, are
-    ValueErrors, a non-integer count a TypeError, before anything is drawn.
+    table instead of raised; any other exception propagates. ``repeats``
+    is checked by ``require_count``, and a config.k other than spec.k is a
+    ValueError, before anything is drawn.
 
     Returns a list of VariantResult in the order the variants were given.
     """
-    if isinstance(repeats, bool):  # an int to Python, but not a count, as in Record.check
-        raise ValueError(f"repeats must be an integer, got {repeats!r}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    operator.index(repeats)  # range()'s TypeError for a non-integer, before anything is drawn
+    require_count("repeats", repeats)
     if config.k != spec.k:
         raise ValueError(f"config.k must equal spec.k, got {config.k} and {spec.k}")
     v, w_r, h_r = generate(spec)

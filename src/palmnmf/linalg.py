@@ -2,9 +2,9 @@
 config records.
 
 Matrices are 2-D float64 numpy arrays throughout the package. The
-validators here (``as_float64``, ``as_matrix``, ``require_allocatable``
-and ``Record``) run only where data enters; the prox maps are step
-kernels that trust theirs.
+validators here (``as_float64``, ``as_matrix``, ``require_nonnegative``,
+``require_allocatable``, ``require_count`` and ``Record``) run only where
+data enters; the prox maps are step kernels that trust theirs.
 """
 
 import math
@@ -16,6 +16,8 @@ from collections.abc import Mapping
 from dataclasses import MISSING, fields
 
 import numpy as np
+
+from .errors import DomainError
 
 # Field annotation -> the values it admits and their name in messages.
 _FIELD_TYPES = {
@@ -65,6 +67,13 @@ def as_matrix(a, name):
     return m
 
 
+def require_nonnegative(m, name):
+    """Raise DomainError if *m*, a float64 array of finite entries, holds one
+    below 0: one pass for the minimum, no bool temporary; -0.0 passes."""
+    if np.minimum.reduce(m, None) < 0:
+        raise DomainError(f"{name} must be nonnegative")
+
+
 def require_allocatable(label, rows, cols):
     """Raise ValueError if a rows x cols float64 matrix would not fit in
     physical memory, read once, at import. *rows* and *cols* are integers,
@@ -76,6 +85,17 @@ def require_allocatable(label, rows, cols):
             f"{label} would be {rows}x{cols}: {need} bytes of float64, "
             f"more than the {_PHYS_BYTES} bytes of physical memory"
         )
+
+
+def require_count(name, value):
+    """Raise unless *value* is a count, an integer >= 1 (numpy's too). In
+    order: a bool is a ValueError, as in ``Record.check``; so is a value
+    below 1; a non-integer is the TypeError of ``operator.index``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    operator.index(value)
 
 
 def _key(f):

@@ -20,13 +20,12 @@ shape, as ``solve`` passes them) and check only scalars.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .linalg import Record, as_matrix, frobenius, require_allocatable
+from .errors import ShapeError
+from .linalg import Record, as_matrix, frobenius, require_allocatable, require_count, require_nonnegative
 
 # Floor for step moduli so a collapsed factor never yields a zero divisor.
 LIPSCHITZ_FLOOR = 1e-12
@@ -147,18 +146,14 @@ def evaluate(v, w, h, params):
         v = as_matrix(v, "v")
         w = as_matrix(w, "w")
         h = as_matrix(h, "h")
-        if w.shape[0] != v.shape[0] or h.shape[1] != v.shape[1] or w.shape[1] != h.shape[0]:
+        if not _plain(v, w, h):  # after as_matrix, only its shape clause can fail
             raise ShapeError(
                 "inconsistent shapes: v is {}x{}, w is {}x{}, h is {}x{}".format(
                     *v.shape, *w.shape, *h.shape
                 )
             )
-    # Entries are finite here, so each sign check takes one pass for the
-    # minimum, with no bool temporary; -0.0 is not below 0, as in w < 0.
-    if np.minimum.reduce(w, None) < 0:
-        raise DomainError("w must be nonnegative")
-    if np.minimum.reduce(h, None) < 0:
-        raise DomainError("h must be nonnegative")
+    require_nonnegative(w, "w")  # entries are finite on both paths
+    require_nonnegative(h, "h")
     return value if math.isfinite(value) else _cost(v, w, h, params)
 
 
@@ -239,11 +234,10 @@ def lipschitz_h(w, n, params):
     2 ||w^T w||_F + 2 beta_h + 2 eta ||D D^T||_F, floored, by ``_modulus``.
     For D of size n, ||D D^T||_F = sqrt(6n - 8): D D^T is tridiagonal
     with diagonal (1, 2, ..., 2, 1) and off-diagonals -1.
-    w is trusted; n is checked, as an integer (numpy's too). As in
+    w is trusted; n is checked by ``require_count``. As in
     ``lipschitz_w``, the norm of a finite w^T w is finite, and squares
     that overflow warn unless overflow is ignored.
     """
-    if operator.index(n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_count("n", n)
     smooth = 2.0 * params.eta * math.sqrt(6.0 * n - 8.0) if params.eta > 0 and n >= 2 else 0.0
     return _modulus(w.T @ w, params.beta_h, smooth)

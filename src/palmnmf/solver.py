@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-from .linalg import Record, as_float64, as_matrix, frobenius, nonneg_project, require_allocatable, soft_threshold_nonneg
+from .errors import NumericError
+from .linalg import (Record, as_float64, as_matrix, frobenius, nonneg_project, require_allocatable,
+                     require_nonnegative, soft_threshold_nonneg)
 from .objective import (
     LIPSCHITZ_FLOOR,
     evaluate,
@@ -65,8 +66,7 @@ def initialize(v, config):
     memory is a ValueError; a v whose mean overflows is a NumericError.
     """
     v = as_matrix(v, "v")
-    if np.minimum.reduce(v, None) < 0:  # entries checked finite by as_matrix
-        raise DomainError("v must be nonnegative")
+    require_nonnegative(v, "v")
     require_allocatable("w (rows of v x k)", v.shape[0], config.k)
     require_allocatable("h (k x columns of v)", config.k, v.shape[1])
     require_allocatable("the Gram h h^T (k x k)", config.k, config.k)

@@ -256,6 +256,7 @@ def _contract_cases():
     cases += [
         ("w-negative", v, _put(w, 2, -1.0), h, smooth, DomainError, "w must be nonnegative"),
         ("h-negative", v, w, _put(h, 2, -1e-300), smooth, DomainError, "h must be nonnegative"),
+        ("w-subnormal-negative", v, _put(w, 2, -5e-324), h, p, DomainError, "w must be nonnegative"),
         ("w-and-h-negative", v, -w, -h, p, DomainError, "w must be nonnegative"),
         ("w-negative-h-nan", v, _put(w, 2, -1.0), _put(h, 0, math.nan), p, ValueError, nonfinite.format("h")),
         ("h-negative-v-inf", _put(v, 0, math.inf), w, _put(h, 3, -1.0), p, ValueError, nonfinite.format("v")),
@@ -463,6 +464,11 @@ class TestStepModuli:
     def test_lipschitz_h_rejects_bad_n(self):
         with pytest.raises(ValueError):
             lipschitz_h(np.ones((2, 2)), 0, ObjectiveParams())
+        # A bool is an int to Python, but not a width; nor is a fraction below 1.
+        for n, message in ((True, "n must be an integer, got True"), (False, "n must be an integer, got False"),
+                           (0.5, "n must be >= 1, got 0.5")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                lipschitz_h(np.ones((3, 2)), n, ObjectiveParams(eta=1.0))
         for n in (2.5, np.float64(3.0)):
             with pytest.raises(TypeError):
                 lipschitz_h(np.ones((3, 2)), n, ObjectiveParams(eta=1.0))

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import palmnmf.objective as objective_module
 import palmnmf.solver as solver_module
 from palmnmf import (
     DomainError,
@@ -104,6 +105,10 @@ class TestInitialize:
     def test_rejects_negative_input(self):
         with pytest.raises(DomainError):
             initialize(np.array([[1.0, -0.5]]), SolverConfig(k=1))
+        with pytest.raises(DomainError, match="^v must be nonnegative$"):
+            initialize(np.array([[1.0, -5e-324]]), SolverConfig(k=1))  # the subnormal nearest 0
+        w, h = initialize(np.array([[1.0, -0.0]]), SolverConfig(k=1))  # -0.0 is not below 0
+        assert w.shape == (1, 1) and h.shape == (1, 2)
 
     def test_mean_beyond_float_range_is_numeric_error(self):
         # Every entry is finite, but their mean overflows.
@@ -431,6 +436,22 @@ class TestSolve:
         monkeypatch.setattr(solver_module, "as_matrix", counted)
         solve(np.ones((3, 4)), ObjectiveParams(), SolverConfig(k=1, max_iter=3))
         assert calls == [("v",)]
+
+    @pytest.mark.parametrize(
+        "params",
+        [*default_variants(), ObjectiveParams(beta_w=0.0, beta_h=0.0)],
+        ids=["plain", "sparse", "smooth", "sparse+smooth", "no-ridge"],
+    )
+    def test_loop_costs_each_iterate_without_scanning_it(self, params, monkeypatch, acceptance_06_v):
+        # evaluate scans its inputs only when it cannot cost them first. Every
+        # iterate is a plain float64 array with a finite cost, so a fallback
+        # here would be one wasted scan per matrix per iteration.
+        def scan(a, name):
+            raise AssertionError(f"evaluate scanned {name}")
+
+        monkeypatch.setattr(objective_module, "as_matrix", scan)
+        res = solve(acceptance_06_v, params, SolverConfig(k=5, seed=1000, max_iter=30, tol=1e-300))
+        assert res.iterations == 30 and not res.converged
 
     def test_converts_a_non_array_v_once(self):
         class Counted:

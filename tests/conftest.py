@@ -1,6 +1,8 @@
 """Shared fixtures for the test suite."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,14 +28,35 @@ def cli_env():
     return env
 
 
+@pytest.fixture
+def run_cli(cli_env):
+    """Run ``python -m palmnmf.cli *args`` as a child process in ``cli_env``
+    and return the completed process, its output captured as text, or as
+    bytes with ``text=False``. Variables in ``env`` are set over
+    ``cli_env``."""
+
+    def run(args, cwd=None, text=True, env=None):
+        return subprocess.run(
+            [sys.executable, "-m", "palmnmf.cli", *args],
+            capture_output=True, cwd=cwd, text=text, env={**cli_env, **(env or {})},
+        )
+
+    return run
+
+
 @pytest.fixture(scope="session")
-def acceptance_06_v():
-    """V of the acceptance-06 instance (100 x 200, k = 5, 80 % zeros in the
-    truth W, folded noise at 0.3 times the mean signal, data seed 5),
-    read-only."""
+def acceptance_06_spec():
+    """The acceptance-06 instance: 100 x 200, k = 5, 80 % zeros in the
+    truth W, folded noise at 0.3 times the mean signal, data seed 5."""
     w_r = gen_sparse_matrix(100, 5, 0.2, 5)
     h_r = gen_smooth_rows(5, 200, 6)
     sigma = 0.3 * float((w_r @ h_r).mean())
-    v = generate(SyntheticSpec(d=100, k=5, n=200, sigma=sigma, w_density=0.2, clip_mode="absolute", seed=5))[0]
+    return SyntheticSpec(d=100, k=5, n=200, sigma=sigma, w_density=0.2, clip_mode="absolute", seed=5)
+
+
+@pytest.fixture(scope="session")
+def acceptance_06_v(acceptance_06_spec):
+    """V of the acceptance-06 instance, read-only."""
+    v = generate(acceptance_06_spec)[0]
     v.flags.writeable = False
     return v

@@ -1,5 +1,8 @@
-"""PALM for regularized nonnegative factorization, written plainly from its
-formulas: the oracle for ``palmnmf.solve``. At the shapes that
+"""Every oracle the tests compare against, written plainly from its
+formulas: the PALM solve, the smooth cost and its central finite
+differences, column normalization and the brute-force match.
+
+``solve`` is the oracle for ``palmnmf.solve``. At the shapes that
 ``test_reference.py`` runs, W and H match bit for bit, and so does the
 objective trace up to one residual block of ``evaluate``; above that the
 package sums the residual by blocks, and the trace is within 4 ulps.
@@ -10,6 +13,8 @@ as in the package (``w @ (h h^T)``, ``(w^T w) @ h``, and v h^T as
 ``(h v^T)^T``), since BLAS may round another association differently.
 Only ``initialize`` is shared with the package.
 """
+
+import itertools
 
 import numpy as np
 
@@ -66,3 +71,51 @@ def solve(v, p, config):
         if step / base < config.tol:
             break
     return w, h, trace
+
+
+def smooth_part(v, w, h, params):
+    """Everything in the cost except the l1 term, sign-agnostic: it accepts
+    the negative entries that finite-difference perturbation creates."""
+    r = v - w @ h
+    val = (r * r).sum()
+    if params.eta > 0:
+        adj = h[:, :-1] - h[:, 1:]
+        val += params.eta * (adj * adj).sum()
+    val += params.beta_w * (w * w).sum()
+    val += params.beta_h * (h * h).sum()
+    return float(val)
+
+
+def fd_grad(f, m, step=1e-5):
+    """Central finite differences of f with respect to the matrix m."""
+    g = np.zeros_like(m)
+    for i in range(m.shape[0]):
+        for j in range(m.shape[1]):
+            plus = m.copy()
+            minus = m.copy()
+            plus[i, j] += step
+            minus[i, j] -= step
+            g[i, j] = (f(plus) - f(minus)) / (2.0 * step)
+    return g
+
+
+def normalize_cols(m):
+    """m as floats, each nonzero column scaled to unit Euclidean norm."""
+    out = m.astype(float).copy()
+    for j in range(m.shape[1]):
+        norm = np.linalg.norm(m[:, j])
+        if norm > 0:
+            out[:, j] /= norm
+    return out
+
+
+def brute_force_match(w, w_true):
+    """Minimal summed column distance over every permutation."""
+    wn, wrn = normalize_cols(w), normalize_cols(w_true)
+    k = w.shape[1]
+    best_cost, best_perm = np.inf, None
+    for perm in itertools.permutations(range(k)):
+        cost = sum(np.linalg.norm(wn[:, perm[j]] - wrn[:, j]) for j in range(k))
+        if cost < best_cost:
+            best_cost, best_perm = cost, perm
+    return best_cost, best_perm

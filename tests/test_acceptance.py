@@ -7,13 +7,12 @@ the qualitative recovery properties of the committed benchmark
 instances. Runtime budgets are asserted where a criterion carries one.
 """
 
-import itertools
-import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from reference import brute_force_match, fd_grad, normalize_cols, smooth_part
 
 from palmnmf import (
     ObjectiveParams,
@@ -60,30 +59,6 @@ def _finish(n, ok, detail=""):
     else:
         print(line, file=sys.__stdout__, flush=True)
     assert ok, line
-
-
-def smooth_part(v, w, h, params):
-    """Independent restatement of the differentiable terms; accepts the
-    negative entries finite-difference perturbation creates."""
-    r = v - w @ h
-    val = (r * r).sum()
-    if params.eta > 0:
-        adj = h[:, :-1] - h[:, 1:]
-        val += params.eta * (adj * adj).sum()
-    val += params.beta_w * (w * w).sum()
-    val += params.beta_h * (h * h).sum()
-    return float(val)
-
-
-def fd_grad(f, m, step=1e-5):
-    g = np.zeros_like(m)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            plus, minus = m.copy(), m.copy()
-            plus[i, j] += step
-            minus[i, j] -= step
-            g[i, j] = (f(plus) - f(minus)) / (2.0 * step)
-    return g
 
 
 def test_criterion_01_gradients_match_finite_differences():
@@ -202,23 +177,10 @@ def test_criterion_05_smoothness_improves_h_recovery():
     )
 
 
-def _committed_sparse_instance():
-    """The fixed sparse+smooth benchmark instance: 80% zeros in W, folded
-    noise at 0.3x the mean signal, data seed 5."""
-    data_seed = 5
-    w_r = gen_sparse_matrix(100, 5, 0.2, data_seed)
-    h_r = gen_smooth_rows(5, 200, data_seed + 1)
-    sigma = 0.3 * float((w_r @ h_r).mean())
-    return SyntheticSpec(
-        d=100, k=5, n=200, sigma=sigma, w_density=0.2, clip_mode="absolute", seed=data_seed
-    )
-
-
-def test_criterion_06_variant_comparison_ordering():
-    spec = _committed_sparse_instance()
+def test_criterion_06_variant_comparison_ordering(acceptance_06_spec):
     config = SolverConfig(k=5, seed=1000, max_iter=20000, tol=1e-5)
     t0 = time.perf_counter()
-    results = run_comparison(spec, default_variants(), config, repeats=15)
+    results = run_comparison(acceptance_06_spec, default_variants(), config, repeats=15)
     elapsed = time.perf_counter() - t0
 
     stats = {vr.label: vr.stats()["score"] for vr in results}
@@ -238,12 +200,11 @@ def test_criterion_06_variant_comparison_ordering():
     )
 
 
-def test_criterion_07_near_zero_count_grows_with_l1_weight():
-    v, _, _ = generate(_committed_sparse_instance())
+def test_criterion_07_near_zero_count_grows_with_l1_weight(acceptance_06_v):
     counts = []
     for lam in (0.0, 0.1, 1.0, 10.0):
         res = solve(
-            v,
+            acceptance_06_v,
             ObjectiveParams(lam=lam),
             SolverConfig(k=5, seed=1000, max_iter=20000, tol=1e-5),
         )
@@ -254,15 +215,6 @@ def test_criterion_07_near_zero_count_grows_with_l1_weight():
 
 def test_criterion_08_matching_equals_brute_force():
     rng = np.random.default_rng(42)
-
-    def normalize_cols(m):
-        out = m.astype(float).copy()
-        for j in range(m.shape[1]):
-            norm = np.linalg.norm(m[:, j])
-            if norm > 0:
-                out[:, j] /= norm
-        return out
-
     ok = True
     for _ in range(50):
         k = int(rng.integers(2, 6))
@@ -275,10 +227,7 @@ def test_criterion_08_matching_equals_brute_force():
         s = score_recovery(w, h, w_true, h_true)
         wn, wrn = normalize_cols(w), normalize_cols(w_true)
         matched_cost = sum(np.linalg.norm(wn[:, s.permutation[j]] - wrn[:, j]) for j in range(k))
-        brute = min(
-            sum(np.linalg.norm(wn[:, perm[j]] - wrn[:, j]) for j in range(k))
-            for perm in itertools.permutations(range(k))
-        )
+        brute = brute_force_match(w, w_true)[0]
         ok = ok and abs(matched_cost - brute) <= 1e-12
 
     # generalized-permutation invariance: exact zeros for a permuted copy
@@ -307,20 +256,13 @@ def test_criterion_09_difference_gram_structure():
     _finish(9, ok, "n = 2..50")
 
 
-def _run_cli(args, cwd, env):
-    return subprocess.run(
-        [sys.executable, "-m", "palmnmf.cli", *args],
-        capture_output=True, cwd=cwd, env=env, check=False,
-    )
-
-
 def _exit_failure(args, proc):
     stderr = proc.stderr.decode(errors="replace").strip().splitlines()
     last = stderr[-1] if stderr else "<no stderr>"
     return f"{args[0]} exited {proc.returncode}: {last}"
 
 
-def test_criterion_10_byte_reproducibility(tmp_path, cli_env):
+def test_criterion_10_byte_reproducibility(tmp_path, run_cli):
     # identical flags (seeds included) must reproduce every artifact and
     # the printed summary byte for byte; solver runs must match bitwise
     synth = ["synth", "--d", "10", "--k", "2", "--n", "16", "--seed", "3", "--out", "data"]
@@ -336,7 +278,7 @@ def test_criterion_10_byte_reproducibility(tmp_path, cli_env):
     for _ in range(2):
         stdout = b""
         for args in (synth, fact, score, bench):
-            proc = _run_cli(args, tmp_path, cli_env)
+            proc = run_cli(args, cwd=tmp_path, text=False)
             if proc.returncode != 0 and failure is None:
                 failure = _exit_failure(args, proc)
             stdout += proc.stdout

@@ -1,12 +1,12 @@
 """Synthetic generators, recovery scoring, and the variant comparison."""
 
-import itertools
 import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -30,27 +30,6 @@ from palmnmf import (
     variant_label,
 )
 from palmnmf.benchmark import CLIP_MODES
-
-
-def normalize_cols(m):
-    out = m.astype(float).copy()
-    for j in range(m.shape[1]):
-        norm = np.linalg.norm(m[:, j])
-        if norm > 0:
-            out[:, j] /= norm
-    return out
-
-
-def brute_force_match(w, w_true):
-    """Minimal summed column distance over every permutation."""
-    wn, wrn = normalize_cols(w), normalize_cols(w_true)
-    k = w.shape[1]
-    best_cost, best_perm = np.inf, None
-    for perm in itertools.permutations(range(k)):
-        cost = sum(np.linalg.norm(wn[:, perm[j]] - wrn[:, j]) for j in range(k))
-        if cost < best_cost:
-            best_cost, best_perm = cost, perm
-    return best_cost, best_perm
 
 
 def two_array_v(w_r, h_r, sigma, clip_mode, seed):
@@ -384,8 +363,8 @@ class TestScoreRecovery:
             h = rng.uniform(0, 1, (k, 7))
             h_true = rng.uniform(0, 1, (k, 7))
             s = score_recovery(w, h, w_true, h_true)
-            cost, perm = brute_force_match(w, w_true)
-            wn, wrn = normalize_cols(w), normalize_cols(w_true)
+            cost, perm = reference.brute_force_match(w, w_true)
+            wn, wrn = reference.normalize_cols(w), reference.normalize_cols(w_true)
             matched = sum(
                 np.linalg.norm(wn[:, s.permutation[j]] - wrn[:, j]) for j in range(k)
             )

@@ -400,12 +400,10 @@ class TestDefaults:
         assert [v["params"] for v in table["variants"]] == [p.to_dict() for p in default_variants()]
 
 
-def usage_error(args, cli_env, cwd=None):
+def usage_error(args, run_cli, cwd=None):
     """Run the CLI as a child process, check that it reports a usage error
     (exit 2, one ``error:`` line on stderr, no traceback) and return stderr."""
-    result = subprocess.run(
-        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env, cwd=cwd
-    )
+    result = run_cli(args, cwd=cwd)
     assert result.returncode == 2
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ")
@@ -442,7 +440,7 @@ def usage_error(args, cli_env, cwd=None):
         "variants-huge-int-weight", "spec-huge-int-sigma", "spec-beyond-memory", "variants-inline-object",
     ],
 )
-def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
+def test_malformed_bench_input_exits_2(case, named, tmp_path, run_cli):
     """A ``spec`` or ``variants_file`` case is written to a file: bytes as
     they are, anything else as JSON; a ``variants`` case is passed inline."""
     [(kind, value)] = case.items()
@@ -455,7 +453,7 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
         path = tmp_path / ("spec.json" if kind == "spec" else "variants.json")
         path.write_bytes(value if isinstance(value, bytes) else json.dumps(value).encode())
         args += ["--spec" if kind == "spec" else "--variants", str(path)]
-    assert named in usage_error(args, cli_env)
+    assert named in usage_error(args, run_cli)
 
 
 @pytest.mark.parametrize(
@@ -472,7 +470,7 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, cli_env):
     ],
     ids=["factorize-k", "factorize-400-digit-k", "synth-d-n", "factorize-k-gram", "factorize-eta-wide"],
 )
-def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, cli_env):
+def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, run_cli):
     # Sizes far beyond any machine's memory, refused before numpy allocates.
     # {wide} is a one-row V with n = isqrt(physical memory / 8) + 2
     # columns, whose dense n x (n-1) difference operator does not fit.
@@ -482,7 +480,7 @@ def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, cli_env)
         wide.write_text(",".join(["1"] * n) + "\n")
     out = tmp_path / "o"
     args = [a.format(input=small_input, wide=wide) for a in args] + ["--out", str(out)]
-    assert named.format(n=n, n_1=n - 1) in usage_error(args, cli_env)
+    assert named.format(n=n, n_1=n - 1) in usage_error(args, run_cli)
     assert not out.exists()
 
 
@@ -494,27 +492,23 @@ def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, cli_env)
     ],
     ids=["mean-overflows", "initial-objective-overflows"],
 )
-def test_overflow_before_the_first_step_exits_1(entry, message, tmp_path, cli_env):
+def test_overflow_before_the_first_step_exits_1(entry, message, tmp_path, run_cli):
     # Every entry of V is finite; the failure comes before the first step.
     v = tmp_path / "V.csv"
     v.write_text(f"{entry},{entry}\n{entry},{entry}\n")
     out = tmp_path / "o"
     args = ["factorize", "--input", str(v), "--k", "1", "--max-iter", "5", "--out", str(out)]
-    result = subprocess.run(
-        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env
-    )
+    result = run_cli(args)
     assert result.returncode == 1
     assert result.stderr == message
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["synth"], ["bench", "--repeats", "1", "--max-iter", "1"]])
-def test_overflowing_synthetic_v_exits_1(command, tmp_path, cli_env):
+def test_overflowing_synthetic_v_exits_1(command, tmp_path, run_cli):
     out = tmp_path / "o"
     args = [*command, "--d", "3", "--k", "1", "--n", "4", "--sigma", "1e308", "--out", str(out)]
-    result = subprocess.run(
-        [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, text=True, env=cli_env
-    )
+    result = run_cli(args)
     assert result.returncode == 1
     assert result.stderr == "error: the noisy product w_r @ h_r is not finite at sigma=1e+308\n"
     assert not out.exists()
@@ -561,36 +555,31 @@ def test_record_flags_follow_the_records(cls, capsys):
             assert type(getattr(args, key)) is f.type and getattr(args, key) == 3
 
 
-def test_score_at_huge_scale_prints_nothing_on_stderr(tmp_path, cli_env):
+def test_score_at_huge_scale_prints_nothing_on_stderr(tmp_path, run_cli):
     rng = np.random.default_rng(0)
     paths = []
     for name, shape in (("w", (5, 3)), ("h", (3, 4)), ("w_true", (5, 3)), ("h_true", (3, 4))):
         paths.append(tmp_path / f"{name}.csv")
         save_matrix(rng.uniform(1, 2, shape) * 1e200, paths[-1])
     flags = [a for flag, path in zip(("--w", "--h", "--w-true", "--h-true"), paths) for a in (flag, str(path))]
-    result = subprocess.run(
-        [sys.executable, "-m", "palmnmf.cli", "score", *flags], capture_output=True, text=True, env=cli_env
-    )
+    result = run_cli(["score", *flags])
     assert result.returncode == 0
     assert result.stderr == ""
     assert set(json.loads(result.stdout)) == {"dist_w", "dist_h", "permutation"}
 
 
-def test_factorize_bytes_repeat_on_threaded_blas(tmp_path, cli_env):
+def test_factorize_bytes_repeat_on_threaded_blas(tmp_path, run_cli):
     # A 1000x2000 V is above OpenBLAS's threading threshold, so v @ h.T and
     # w.T @ v run on two threads, a path the small instances of acceptance
     # 10 never take. The bytes are compared at one thread count only: they
     # are not claimed to match across thread counts.
     rng = np.random.default_rng(11)
     save_matrix(rng.uniform(0, 1, (1000, 20)) @ rng.uniform(0, 1, (20, 2000)), tmp_path / "V.csv")
-    env = {**cli_env, "OPENBLAS_NUM_THREADS": "2"}
     args = ["factorize", "--input", "V.csv", "--k", "20", "--lambda", "0.5", "--eta", "1",
             "--max-iter", "2", "--out", "run"]
     runs = []
     for _ in range(2):
-        result = subprocess.run(
-            [sys.executable, "-m", "palmnmf.cli", *args], capture_output=True, cwd=tmp_path, env=env
-        )
+        result = run_cli(args, cwd=tmp_path, text=False, env={"OPENBLAS_NUM_THREADS": "2"})
         assert result.returncode == 0, result.stderr
         runs.append((result.stdout, read_tree(tmp_path / "run")))
     assert sorted(runs[0][1]) == ["H.csv", "W.csv", "manifest.json", "trace.csv"]
@@ -598,16 +587,16 @@ def test_factorize_bytes_repeat_on_threaded_blas(tmp_path, cli_env):
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--gamma1", "1e999")])
-def test_non_finite_solver_flag_fails_before_solving(flag, value, small_input, tmp_path, cli_env):
+def test_non_finite_solver_flag_fails_before_solving(flag, value, small_input, tmp_path, run_cli):
     out = tmp_path / "o"
-    stderr = usage_error(["factorize", "--input", str(small_input), "--k", "2", flag, value, "--out", str(out)], cli_env)
+    stderr = usage_error(["factorize", "--input", str(small_input), "--k", "2", flag, value, "--out", str(out)], run_cli)
     assert f"{flag[2:]} must be a finite number" in stderr
     assert not out.exists()
 
 
-def test_bad_init_seed_names_its_flag(tmp_path, cli_env):
+def test_bad_init_seed_names_its_flag(tmp_path, run_cli):
     args = ["bench", "--d", "4", "--k", "2", "--n", "6", "--init-seed", "-1", "--out", str(tmp_path / "o")]
-    assert usage_error(args, cli_env) == "error: --init-seed: seed must be >= 0, got -1\n"
+    assert usage_error(args, run_cli) == "error: --init-seed: seed must be >= 0, got -1\n"
 
 
 # JSON documents for the fuzz test below: keys mostly the records' own, so
@@ -805,14 +794,14 @@ QUICK = ["--repeats", "1", "--max-iter", "1"]
         "bench-out-under-file",
     ],
 )
-def test_path_usage_errors_exit_2(args, named, tmp_path, cli_env):
+def test_path_usage_errors_exit_2(args, named, tmp_path, run_cli):
     # Run in tmp_path, so that an empty path read as "." would write there.
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")
     save_matrix(np.ones((2, 3)), tmp_path / "V.csv")
     before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
     paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "tmp": tmp_path}
-    assert named in usage_error([a.format(**paths) for a in args], cli_env, cwd=tmp_path)
+    assert named in usage_error([a.format(**paths) for a in args], run_cli, cwd=tmp_path)
     assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
@@ -908,12 +897,8 @@ class TestTopLevel:
         assert main(["--help"]) == 0
         assert "factorize" in capsys.readouterr().out
 
-    def test_module_entry_point(self, tmp_path, cli_env):
-        result = subprocess.run(
-            [sys.executable, "-m", "palmnmf.cli", "synth", "--d", "4", "--k", "2",
-             "--n", "6", "--sigma", "0", "--out", str(tmp_path / "d")],
-            capture_output=True, text=True, env=cli_env,
-        )
+    def test_module_entry_point(self, tmp_path, run_cli):
+        result = run_cli(["synth", "--d", "4", "--k", "2", "--n", "6", "--sigma", "0", "--out", str(tmp_path / "d")])
         assert result.returncode == 0
         assert (tmp_path / "d" / "V.csv").exists()
 

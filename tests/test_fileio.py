@@ -454,6 +454,8 @@ class TestDecoderValues:
             ("1e28", True),
             ("1e-28", True),
             ("1e-0005", False),
+            ("1.2345678901234567e-05", False),  # '%.17g' of save_matrix below 1e-4
+            ("1.234567890123456789e+00", False),  # '%.18e', np.savetxt's default
             ("1e00005", True),  # five exponent digits
             ("0" * 23 + "1", False),
             ("0" * 24 + "1", True),  # wider than the mantissa window

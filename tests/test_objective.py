@@ -1,9 +1,9 @@
 """Objective-value, gradient, and step-modulus tests.
 
-Gradients are checked against central finite differences of an
-independent re-statement of the smooth terms (written with plain numpy
-slicing so it shares no code with the module under test, and accepts the
-negative entries that perturbation produces).
+Gradients are checked against ``reference.fd_grad`` of
+``reference.smooth_part``, an independent re-statement of the smooth terms
+(written with plain numpy slicing so it shares no code with the module
+under test, and accepts the negative entries that perturbation produces).
 """
 
 import itertools
@@ -31,31 +31,6 @@ from palmnmf import (
     solve,
 )
 from palmnmf.objective import LIPSCHITZ_FLOOR
-
-
-def smooth_part(v, w, h, params):
-    """Everything in the cost except the l1 term, sign-agnostic."""
-    r = v - w @ h
-    val = (r * r).sum()
-    if params.eta > 0:
-        adj = h[:, :-1] - h[:, 1:]
-        val += params.eta * (adj * adj).sum()
-    val += params.beta_w * (w * w).sum()
-    val += params.beta_h * (h * h).sum()
-    return float(val)
-
-
-def fd_grad(f, m, step=1e-5):
-    """Central finite differences of f with respect to the matrix m."""
-    g = np.zeros_like(m)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            plus = m.copy()
-            minus = m.copy()
-            plus[i, j] += step
-            minus[i, j] -= step
-            g[i, j] = (f(plus) - f(minus)) / (2.0 * step)
-    return g
 
 
 class TestObjectiveParams:
@@ -118,7 +93,7 @@ class TestEvaluate:
             w = rng.uniform(0, 1, (d, k))
             h = rng.uniform(0, 1, (k, n))
             params = ObjectiveParams(lam=0.3, eta=0.7 if n <= block else 0.0, beta_w=0.05, beta_h=0.2)
-            expected = smooth_part(v, w, h, params) + params.lam * np.abs(w).sum()
+            expected = reference.smooth_part(v, w, h, params) + params.lam * np.abs(w).sum()
             assert evaluate(v, w, h, params) == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
@@ -353,7 +328,7 @@ class TestGradients:
             h = rng.uniform(0.1, 1, (k, n))
             params = ObjectiveParams(lam=0.3, eta=0.5, beta_w=0.1, beta_h=0.2)
             g = grad_w(v, w, h, params)
-            g_fd = fd_grad(lambda m: smooth_part(v, m, h, params), w)
+            g_fd = reference.fd_grad(lambda m: reference.smooth_part(v, m, h, params), w)
             np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-8)
 
     def test_grad_h_finite_differences(self):
@@ -365,7 +340,7 @@ class TestGradients:
             h = rng.uniform(0.1, 1, (k, n))
             params = ObjectiveParams(lam=0.3, eta=0.5, beta_w=0.1, beta_h=0.2)
             g = grad_h(v, w, h, params)
-            g_fd = fd_grad(lambda m: smooth_part(v, w, m, params), h)
+            g_fd = reference.fd_grad(lambda m: reference.smooth_part(v, w, m, params), h)
             np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-8)
 
     def test_grad_h_stencil_equals_dense_product(self):

@@ -1,4 +1,4 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and the Hypothesis profile for the test suite."""
 
 import os
 import subprocess
@@ -6,9 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import palmnmf
 from palmnmf import SyntheticSpec, gen_smooth_rows, gen_sparse_matrix, generate
+
+# Every property test draws the same examples on every run, keyed on its
+# source, with no time limit and no example database; a test's own
+# @settings sets only its max_examples.
+settings.register_profile("palmnmf", deadline=None, derandomize=True, database=None)
+settings.load_profile("palmnmf")
 
 
 @pytest.fixture

@@ -293,7 +293,7 @@ class TestGenerate:
         clip_mode=st.sampled_from(CLIP_MODES + ("clamp",)),
         seed=st.integers(-2, 2**64),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_every_spec_that_constructs_generates(self, d, k, n, sigma, w_density, clip_mode, seed):
         # The generators check their arguments by the spec's own rules, so
         # no spec the record admits is refused by them.
@@ -441,7 +441,7 @@ square_costs = st.integers(1, 12).flatmap(
 
 
 class TestAssign:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(square_costs)
     def test_same_permutation_as_scipy(self, cost):
         # Real-valued, tie-heavy small-integer and constant costs: the port

@@ -217,7 +217,7 @@ class TestLoadMatrix:
             load_matrix(f)
 
     @given(csv_matrix)
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_matches_reference_parser(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
@@ -331,7 +331,7 @@ class TestEncoder:
             lambda t: arrays(np.float64, t[:2], elements=t[2])
         )
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_any_finite_matrix(self, m):
         with tempfile.TemporaryDirectory() as tmp:
             self.assert_matches_oracle(m, Path(tmp) / "m.csv")
@@ -435,7 +435,7 @@ class TestDecoderValues:
         assert fileio._decode(tmp_path / "m.csv").tobytes() == m.tobytes()
 
     @given(st.lists(finite_tokens, min_size=1, max_size=50))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_random_tokens(self, tokens):
         with tempfile.TemporaryDirectory() as tmp:
             got, want = decode_column(Path(tmp) / "m.csv", tokens)
@@ -539,7 +539,7 @@ class TestDecoderStructure:
             os.close(r)
 
     @given(csv_matrix, st.integers(1, 40))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_random_files_in_small_blocks(self, text, block):
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_BLOCK", block):
             path = Path(tmp) / "m.csv"

@@ -123,7 +123,7 @@ def test_step_moduli_are_the_oracles_bitwise(n, beta, eta):
 _WEIGHTS = st.just(0.0) | st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-6, 6))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(
     d=st.integers(1, 600),
     n=st.integers(1, 600),

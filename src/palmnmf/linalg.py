@@ -3,8 +3,13 @@ config records.
 
 Matrices are 2-D float64 numpy arrays throughout the package. The
 validators here (``as_float64``, ``as_matrix``, ``require_nonnegative``,
-``require_allocatable``, ``require_count`` and ``Record``) run only where
-data enters; the prox maps are step kernels that trust theirs.
+``require_allocatable``, ``require_count`` and ``Record``) check data
+where it enters. Three of them also run in every iteration of ``solve``:
+``require_count`` once, in ``lipschitz_h``; ``require_allocatable`` twice
+when eta > 0, through ``difference_operator`` in ``grad_h`` and in
+``evaluate``; and ``require_nonnegative`` twice, in ``evaluate``. ROADMAP
+items 2 and 16 take them out of the loop. The prox maps are step kernels
+that trust their input.
 """
 
 import math
@@ -148,8 +153,10 @@ class Record:
                         raise ValueError(f"{_key(f)} must be {op} {bound!r}, got {values[f.name]!r}")
 
     def to_dict(self):
-        """One key per field, in field order."""
-        return {_key(f): getattr(self, f.name) for f in fields(self)}
+        """One key per field, in field order. A numpy scalar, which ``check``
+        admits, is given as its Python number, which ``json`` can write."""
+        values = {_key(f): getattr(self, f.name) for f in fields(self)}
+        return {key: x.item() if isinstance(x, np.generic) else x for key, x in values.items()}
 
     @classmethod
     def keys(cls):

@@ -1,6 +1,8 @@
 """Every oracle the tests compare against, written plainly from its
 formulas: the PALM solve, the smooth cost and its central finite
-differences, column normalization and the brute-force match.
+differences, column normalization and the brute-force match; and
+``TOO_WIDE``, the narrowest width whose difference operator G does not fit
+in the physical memory that ``palmnmf`` read at import.
 
 ``solve`` is the oracle for ``palmnmf.solve``. At the shapes that
 ``test_reference.py`` runs, W and H match bit for bit, and so does the
@@ -15,10 +17,16 @@ Only ``initialize`` is shared with the package.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from palmnmf import initialize
+from palmnmf.linalg import _PHYS_BYTES
+
+# The n x (n-1) float64 G needs 8 n (n-1) bytes: no n up to isqrt(bytes / 8)
+# exceeds them, and isqrt(bytes / 8) + 2 always does.
+TOO_WIDE = next(n for n in itertools.count(math.isqrt(_PHYS_BYTES // 8) + 1) if 8 * n * (n - 1) > _PHYS_BYTES)
 
 
 def difference(n):

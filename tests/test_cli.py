@@ -4,7 +4,6 @@ import contextlib
 import errno
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -450,9 +450,9 @@ def test_malformed_bench_input_exits_2(case, named, tmp_path, capsys):
 )
 def test_sizes_beyond_memory_exit_2(args, named, small_input, tmp_path, capsys):
     # Sizes far beyond any machine's memory, refused before numpy allocates.
-    # {wide} is a one-row V with n = isqrt(physical memory / 8) + 2
-    # columns, whose dense n x (n-1) difference operator does not fit.
-    n = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8) + 2
+    # {wide} is a one-row V with n = reference.TOO_WIDE columns, whose
+    # dense n x (n-1) difference operator does not fit.
+    n = reference.TOO_WIDE
     wide = tmp_path / "wide.csv"
     if "{wide}" in args:
         wide.write_text(",".join(["1"] * n) + "\n")

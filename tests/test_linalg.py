@@ -6,6 +6,12 @@ its Gram structure, and the thresholding map via 1-D grid search on its
 defining objective. The config records' codec is checked by round trips
 of drawn valid records through JSON text, and their declared bounds by a
 hand-written table of edge values and messages.
+
+Each rule that ``linalg`` owns is tested here once, across every public
+entry that applies it: ``Record``'s fields in ``TestRecord`` and in the
+generators' arguments; ``as_float64`` and ``as_matrix`` in
+``TestEntryConversion``; ``require_nonnegative`` and ``require_count`` in
+one test each.
 """
 
 import json
@@ -22,16 +28,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from palmnmf import (
+    DomainError,
     ObjectiveParams,
     SolverConfig,
     SyntheticSpec,
     default_sigma,
     difference_operator,
     evaluate,
+    gen_smooth_rows,
+    gen_sparse_matrix,
     generate,
     initialize,
+    lipschitz_h,
     make_v,
     nonneg_project,
+    run_comparison,
     save_matrix,
     score_recovery,
     soft_threshold_nonneg,
@@ -240,33 +251,42 @@ class TestSoftThresholdNonneg:
             soft_threshold_nonneg(np.ones((1, 1)), float("nan"))
 
 
+def integers(min_value):
+    """Integers for an ``int`` field: Python's, and numpy's, which the
+    records keep as given and ``to_dict`` gives as Python's."""
+    numpy_ints = st.integers(min_value, 2**31 - 1).map(np.int32) | st.integers(min_value, 2**63 - 1).map(np.int64)
+    return st.integers(min_value) | numpy_ints
+
+
 def reals(min_value, max_value=None, exclude_min=False):
-    """Finite numbers for a ``float`` field: floats, and integers, which
-    the records accept and JSON keeps as integers."""
-    floats = st.floats(min_value, max_value, exclude_min=exclude_min, allow_nan=False, allow_infinity=False)
-    return floats | st.integers(int(min_value) + exclude_min, 10**30 if max_value is None else int(max_value))
+    """Finite numbers for a ``float`` field: floats, integers, which the
+    records accept and JSON keeps as integers, and numpy float32s."""
+    bounds = dict(min_value=min_value, max_value=max_value, exclude_min=exclude_min, allow_nan=False,
+                  allow_infinity=False)
+    integral = st.integers(int(min_value) + exclude_min, 10**30 if max_value is None else int(max_value))
+    return st.floats(**bounds) | integral | st.floats(**bounds, width=32).map(np.float32)
 
 
 records = st.one_of(
     st.builds(
         SolverConfig,
-        k=st.integers(min_value=1),
+        k=integers(1),
         gamma1=reals(1.0, exclude_min=True),
         gamma2=reals(1.0, exclude_min=True),
-        max_iter=st.integers(min_value=1),
+        max_iter=integers(1),
         tol=reals(0.0, exclude_min=True),
-        seed=st.integers(min_value=0),
+        seed=integers(0),
     ),
     st.builds(ObjectiveParams, lam=reals(0.0), eta=reals(0.0), beta_w=reals(0.0), beta_h=reals(0.0)),
     st.builds(
         SyntheticSpec,
-        d=st.integers(min_value=1),
-        k=st.integers(min_value=1),
-        n=st.integers(min_value=2),
+        d=integers(1),
+        k=integers(1),
+        n=integers(2),
         sigma=reals(0.0),
         w_density=reals(0.0, 1.0, exclude_min=True),
         clip_mode=st.sampled_from(CLIP_MODES),
-        seed=st.integers(min_value=0),
+        seed=integers(0),
     ),
 )
 
@@ -276,6 +296,13 @@ class TestRecord:
     def test_json_round_trip(self, record):
         text = json.dumps(record.to_dict(), allow_nan=False)
         assert type(record).from_dict(json.loads(text)) == record
+
+    def test_key_other_than_the_field_name(self):
+        p = ObjectiveParams(lam=0.5, eta=2.0, beta_w=0.0, beta_h=0.3)
+        assert p.to_dict() == {"lambda": 0.5, "eta": 2.0, "beta_w": 0.0, "beta_h": 0.3}
+
+    def test_missing_keys_take_their_defaults(self):
+        assert ObjectiveParams.from_dict({}) == ObjectiveParams()
 
     @given(records, st.data(), st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]))
     def test_rejects_non_finite_float_field(self, record, data, bad):
@@ -312,9 +339,26 @@ class TestRecord:
             (SyntheticSpec, "w_density", 1.5, "w_density must be <= 1, got 1.5"),
             (SyntheticSpec, "clip_mode", "clamp", "clip_mode must be one of ('max_zero', 'absolute'), got 'clamp'"),
             (SyntheticSpec, "seed", -1, "seed must be >= 0, got -1"),
+            # A value of the wrong type: bools are neither integers nor numbers here.
+            (SolverConfig, "k", True, "k must be an integer, got True"),
+            (SolverConfig, "k", 2.5, "k must be an integer, got 2.5"),
+            (SolverConfig, "k", "2", "k must be an integer, got '2'"),
+            (SolverConfig, "max_iter", 10.0, "max_iter must be an integer, got 10.0"),
+            (SolverConfig, "seed", None, "seed must be an integer, got None"),
+            (SolverConfig, "tol", "1e-6", "tol must be a finite number, got '1e-6'"),
+            (ObjectiveParams, "lam", "0.5", "lambda must be a finite number, got '0.5'"),
+            (ObjectiveParams, "eta", None, "eta must be a finite number, got None"),
+            (ObjectiveParams, "beta_w", True, "beta_w must be a finite number, got True"),
+            (SyntheticSpec, "d", "6", "d must be an integer, got '6'"),
+            (SyntheticSpec, "k", 1.5, "k must be an integer, got 1.5"),
+            (SyntheticSpec, "n", None, "n must be an integer, got None"),
+            (SyntheticSpec, "sigma", "0.1", "sigma must be a finite number, got '0.1'"),
+            (SyntheticSpec, "clip_mode", 1, "clip_mode must be a string, got 1"),
+            (SyntheticSpec, "seed", 0.0, "seed must be an integer, got 0.0"),
+            (SyntheticSpec, "seed", False, "seed must be an integer, got False"),
         ],
     )
-    def test_value_past_bound_has_one_message(self, cls, name, bad, message):
+    def test_bad_value_has_one_message(self, cls, name, bad, message):
         with pytest.raises(ValueError) as info:
             replace(self.BASE[cls], **{name: bad})
         assert str(info.value) == message
@@ -348,6 +392,36 @@ class TestRecord:
             SolverConfig(k=0, gamma1="a")
 
 
+_ONES = np.ones((2, 2))
+
+
+@pytest.mark.parametrize(
+    "generator, args, message",
+    [
+        (gen_smooth_rows, (0, 10, 0), "k must be >= 1, got 0"),
+        (gen_smooth_rows, (2, 1, 0), "n must be >= 2, got 1"),
+        (gen_smooth_rows, (2, 10, -1), "seed must be >= 0, got -1"),
+        (gen_smooth_rows, (2.0, 10, 0), "k must be an integer, got 2.0"),
+        (gen_smooth_rows, (2, 10, True), "seed must be an integer, got True"),
+        (gen_sparse_matrix, (0, 3, 0.5, 0), "d must be >= 1, got 0"),
+        (gen_sparse_matrix, (3, 3, 0.0, 0), "w_density must be > 0, got 0.0"),
+        (gen_sparse_matrix, (3, 3, 1.5, 0), "w_density must be <= 1, got 1.5"),
+        (gen_sparse_matrix, (3, 3, float("nan"), 0), "w_density must be a finite number, got nan"),
+        (gen_sparse_matrix, (3, 3, 0.5, -2), "seed must be >= 0, got -2"),
+        (gen_sparse_matrix, (True, 3, 0.5, 0), "d must be an integer, got True"),
+        (make_v, (_ONES, _ONES, -1.0, "max_zero", 0), "sigma must be >= 0, got -1.0"),
+        (make_v, (_ONES, _ONES, float("inf"), "max_zero", 0), "sigma must be a finite number, got inf"),
+        (make_v, (_ONES, _ONES, 0.1, "clip", 0), "clip_mode must be one of ('max_zero', 'absolute'), got 'clip'"),
+        (make_v, (_ONES, _ONES, 0.1, "absolute", -1), "seed must be >= 0, got -1"),
+        (make_v, (_ONES, _ONES, 0.1, "absolute", True), "seed must be an integer, got True"),
+    ],
+)
+def test_generator_arguments_are_checked_as_spec_fields(generator, args, message):
+    with pytest.raises(ValueError) as info:
+        generator(*args)
+    assert str(info.value) == message
+
+
 # Each public entry that takes matrices, with valid arguments by name, and
 # the names of its matrix arguments as its messages give them.
 _ENTRIES = {
@@ -360,6 +434,19 @@ _ENTRIES = {
     "save_matrix": (lambda matrix: save_matrix(matrix, "m.csv"), {"matrix": (3, 4)}),
 }
 _ARGUMENTS = [(entry, name) for entry, (_, shapes) in _ENTRIES.items() for name in shapes]
+
+
+def _call(entry, name, value):
+    """Call *entry* with *value* as its argument *name*, and ones for the others."""
+    fn, shapes = _ENTRIES[entry]
+    return fn(**{n: value if n == name else np.ones(shape) for n, shape in shapes.items()})
+
+
+def _ones_but_last(shape, x):
+    """np.ones(shape) with its last entry set to *x*."""
+    m = np.ones(shape)
+    m.flat[-1] = x
+    return m
 
 
 class _Counted:
@@ -376,24 +463,21 @@ class _Counted:
 
 @pytest.mark.parametrize("entry, name", _ARGUMENTS, ids=[f"{e}-{n}" for e, n in _ARGUMENTS])
 class TestEntryConversion:
-    """Every public entry converts each matrix once, through ``as_float64``."""
+    """Every public entry converts each matrix once, through ``as_float64``,
+    and refuses by name what ``as_matrix`` refuses."""
 
     @pytest.fixture(autouse=True)
     def in_tmp_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # save_matrix writes m.csv there
 
-    def call(self, entry, name, value):
-        fn, shapes = _ENTRIES[entry]
-        return fn(**{n: value if n == name else np.ones(shape) for n, shape in shapes.items()})
-
     def test_converts_an_array_like_once(self, entry, name):
         counted = _Counted(_ENTRIES[entry][1][name])
-        self.call(entry, name, counted)
+        _call(entry, name, counted)
         assert counted.calls == 1
 
     def test_complex_object_entry_is_refused_by_name(self, entry, name):
         with pytest.raises(ValueError, match=f"^{name} must be real, got complex entries$"):
-            self.call(entry, name, np.array([[1j, 1.0]], dtype=object))
+            _call(entry, name, np.array([[1j, 1.0]], dtype=object))
 
     @pytest.mark.parametrize(
         "bad, reason",
@@ -406,8 +490,73 @@ class TestEntryConversion:
     )
     def test_unconvertible_entry_is_refused_by_name(self, entry, name, bad, reason):
         with pytest.raises(ValueError, match=f"^{name} is not a matrix of real numbers: ") as info:
-            self.call(entry, name, bad)
+            _call(entry, name, bad)
         assert str(info.value).endswith(reason) and type(info.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda shape: _ones_but_last(shape, math.nan), "{name} contains non-finite entries"),
+            (lambda shape: _ones_but_last(shape, math.inf), "{name} contains non-finite entries"),
+            (lambda shape: _ones_but_last(shape, -math.inf), "{name} contains non-finite entries"),
+            (lambda shape: np.ones(shape)[0], "{name} must be 2-D, got 1-D"),
+            (lambda shape: np.ones((0, shape[1])), "{name} must be non-empty, got shape 0x{cols}"),
+            (lambda shape: np.ones(shape) * 1j, "{name} must be real, got complex entries"),
+        ],
+        ids=["nan", "inf", "-inf", "1-D", "empty", "complex-array"],
+    )
+    def test_malformed_matrix_is_refused_by_name(self, entry, name, bad, message):
+        shape = _ENTRIES[entry][1][name]
+        with pytest.raises(ValueError) as info:
+            _call(entry, name, bad(shape))
+        assert str(info.value) == message.format(name=name, cols=shape[1]) and type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "entry, name", [("solve", "v"), ("initialize", "v"), ("evaluate", "w"), ("evaluate", "h")],
+    ids=["solve-v", "initialize-v", "evaluate-w", "evaluate-h"],
+)
+@pytest.mark.parametrize(
+    "x, refused", [(-1.0, True), (-5e-324, True), (-0.0, False)], ids=["-1", "subnormal", "negative-zero"]
+)
+def test_entry_below_zero_is_refused_by_name(entry, name, x, refused):
+    # -5e-324 is the subnormal nearest 0; -0.0 is not below 0.
+    value = _ones_but_last(_ENTRIES[entry][1][name], x)
+    if refused:
+        with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
+            _call(entry, name, value)
+    else:
+        _call(entry, name, value)
+
+
+# Each public entry that takes a count, with the count's name.
+_COUNTS = {
+    "run_comparison": ("repeats", lambda repeats: run_comparison(
+        SyntheticSpec(d=3, k=1, n=4, sigma=0.0), [ObjectiveParams()], SolverConfig(k=1, max_iter=2), repeats)),
+    "lipschitz_h": ("n", lambda n: lipschitz_h(np.ones((3, 2)), n, ObjectiveParams())),
+    "lipschitz_h-smooth": ("n", lambda n: lipschitz_h(np.ones((3, 2)), n, ObjectiveParams(eta=1.0))),
+}
+
+
+@pytest.mark.parametrize("entry", list(_COUNTS))
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        # A bool is an int to Python, but not a count; nor is a fraction below 1.
+        (True, ValueError, "{} must be an integer, got True"),
+        (False, ValueError, "{} must be an integer, got False"),
+        (0, ValueError, "{} must be >= 1, got 0"),
+        (0.5, ValueError, "{} must be >= 1, got 0.5"),
+        (2.5, TypeError, "'float' object cannot be interpreted as an integer"),
+        (np.float64(3.0), TypeError, "'numpy.float64' object cannot be interpreted as an integer"),
+    ],
+    ids=["True", "False", "0", "0.5", "2.5", "float64"],
+)
+def test_count_is_an_integer_of_at_least_one(entry, value, error, message):
+    name, call = _COUNTS[entry]
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value) == message.format(name) and type(info.value) is error
 
 
 class TestAsFloat64:
